@@ -60,6 +60,10 @@ class RegistryError(LinError):
     """Unknown symbol or ill-formed registry configuration."""
 
 
+class ModelError(LinError):
+    """Internal invariant violation in a semantic model."""
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -163,16 +167,6 @@ def is_one_point(t: Ty) -> bool:
         return is_one_point(t.left) and is_one_point(t.right)
     if isinstance(t, TLolli):
         return is_one_point(t.res)
-    raise AssertionError(t)
-
-
-def type_order(t: Ty) -> int:
-    if isinstance(t, (TReal, TUnit)):
-        return 0
-    if isinstance(t, TTensor):
-        return max(type_order(t.left), type_order(t.right))
-    if isinstance(t, TLolli):
-        return max(type_order(t.arg) + 1, type_order(t.res))
     raise AssertionError(t)
 
 
@@ -519,9 +513,6 @@ class DistInterval:
     def __add__(self, other: "DistInterval") -> "DistInterval":
         return DistInterval(self.lo + other.lo, self.hi + other.hi,
                             normalized=self.normalized or other.normalized)
-
-
-EXACT_ZERO = DistInterval(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ The sup in the function-space metric ranges over an infinite domain, so
 the distance engine reports sound enclosures: lower bounds obtained by
 probing with a deterministic battery of sample points, upper bounds
 supplied by the caller (typically from an equational certificate).
+
+Each term is compiled once into Python closures over a slot-indexed
+environment tuple (variables resolved to tuple indices, symbols to
+their evaluators); the probes then run the compiled code, not the
+syntax tree.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .core import (
     Lam,
     LetPair,
     LetStar,
+    ModelError,
     Pair,
     Star,
     SymbolRegistry,
@@ -117,72 +123,122 @@ def sem_equal(a: SemValue, b: SemValue) -> bool:
 def interp_den(
     env: Env, term: Term, registry: Optional[SymbolRegistry] = None
 ) -> Callable[[SemEnvPoint], SemValue]:
-    """Compositional interpretation of ``env |- term`` as a function."""
+    """Compositional interpretation of ``env |- term`` as a function.
+
+    The term is compiled once; the returned function runs the compiled
+    code on each environment point.
+    """
     registry = registry if registry is not None else default_registry()
     names = env.names()
+    code = _compile(term, {name: i for i, name in enumerate(names)}, len(names), registry)
 
     def run(point: SemEnvPoint) -> SemValue:
         if len(point) != len(names):
             raise TypeError_(f"environment point has arity {len(point)}, expected {len(names)}")
-        return _interp(term, dict(zip(names, point)), registry)
+        return code(tuple(point))
 
     return run
 
 
-def _interp(t: Term, scope: dict[str, SemValue], registry: SymbolRegistry) -> SemValue:
+def _compile(
+    t: Term, slots: dict[str, int], depth: int, registry: SymbolRegistry
+) -> Callable[[tuple], SemValue]:
+    """Translate ``t`` into a closure over an environment tuple.
+
+    ``slots`` maps each name in scope to its index in that tuple and
+    ``depth`` is the tuple's length, so a binder always takes the next
+    index, also when its name shadows one already in ``slots``.
+    """
     if isinstance(t, Var):
-        return scope[t.name]
+        i = slots[t.name]
+        return lambda env: env[i]
     if isinstance(t, Const):
-        return RealVal(t.value)
+        value = RealVal(t.value)
+        return lambda env: value
     if isinstance(t, Star):
-        return UNIT
+        return lambda env: UNIT
     if isinstance(t, FnApp):
-        sym = registry.get(t.symbol)
-        args = [_interp(a, scope, registry) for a in t.args]
-        if any(not isinstance(a, RealVal) for a in args):
-            return BOTTOM  # strict: bottom in, bottom out
-        return RealVal(sym(*[a.value for a in args]))
-    if isinstance(t, App):
-        f = _interp(t.fn, scope, registry)
-        a = _interp(t.arg, scope, registry)
-        if not isinstance(f, Closure):
-            if f is BOTTOM:
+        f = registry.get(t.symbol).evaluator
+        args = [_compile(a, slots, depth, registry) for a in t.args]
+        if len(args) == 1:
+            (arg,) = args
+
+            def unary(env: tuple) -> SemValue:
+                a = arg(env)
+                if not isinstance(a, RealVal):
+                    return BOTTOM  # strict: bottom in, bottom out
+                return RealVal(f(a.value))
+
+            return unary
+        if len(args) == 2:
+            left, right = args
+
+            def binary(env: tuple) -> SemValue:
+                a, b = left(env), right(env)
+                if not isinstance(a, RealVal) or not isinstance(b, RealVal):
+                    return BOTTOM
+                return RealVal(f(a.value, b.value))
+
+            return binary
+
+        def nary(env: tuple) -> SemValue:
+            vals = [a(env) for a in args]
+            if any(not isinstance(a, RealVal) for a in vals):
                 return BOTTOM
-            raise TypeError_("application of a non-function denotation")
-        return f(a)
+            return RealVal(f(*[a.value for a in vals]))
+
+        return nary
+    if isinstance(t, App):
+        fn = _compile(t.fn, slots, depth, registry)
+        arg = _compile(t.arg, slots, depth, registry)
+
+        def app(env: tuple) -> SemValue:
+            f, a = fn(env), arg(env)
+            if not isinstance(f, Closure):
+                if f is BOTTOM:
+                    return BOTTOM
+                raise TypeError_("application of a non-function denotation")
+            return f.fn(a)
+
+        return app
     if isinstance(t, Lam):
-        captured = dict(scope)
-
-        def fn(v: SemValue, _t=t, _c=captured) -> SemValue:
-            inner = dict(_c)
-            inner[_t.var] = v
-            return _interp(_t.body, inner, registry)
-
-        return Closure(fn)
+        body = _compile(t.body, {**slots, t.var: depth}, depth + 1, registry)
+        return lambda env: Closure(lambda v: body(env + (v,)))
     if isinstance(t, Pair):
-        return PairVal(_interp(t.left, scope, registry), _interp(t.right, scope, registry))
+        left = _compile(t.left, slots, depth, registry)
+        right = _compile(t.right, slots, depth, registry)
+        return lambda env: PairVal(left(env), right(env))
     if isinstance(t, LetStar):
-        s = _interp(t.scrutinee, scope, registry)
-        if s is BOTTOM:
-            return BOTTOM
-        return _interp(t.body, scope, registry)
+        scrutinee = _compile(t.scrutinee, slots, depth, registry)
+        body = _compile(t.body, slots, depth, registry)
+
+        def let_star(env: tuple) -> SemValue:
+            if scrutinee(env) is BOTTOM:
+                return BOTTOM
+            return body(env)
+
+        return let_star
     if isinstance(t, LetPair):
-        s = _interp(t.scrutinee, scope, registry)
-        if s is BOTTOM:
-            return BOTTOM
-        if not isinstance(s, PairVal):
-            raise TypeError_("let (x) scrutinee did not denote a pair")
-        inner = dict(scope)
-        inner[t.var1] = s.left
-        inner[t.var2] = s.right
-        return _interp(t.body, inner, registry)
+        scrutinee = _compile(t.scrutinee, slots, depth, registry)
+        inner = {**slots, t.var1: depth, t.var2: depth + 1}
+        body = _compile(t.body, inner, depth + 2, registry)
+
+        def let_pair(env: tuple) -> SemValue:
+            s = scrutinee(env)
+            if s is BOTTOM:
+                return BOTTOM
+            if not isinstance(s, PairVal):
+                raise TypeError_("let (x) scrutinee did not denote a pair")
+            return body(env + (s.left, s.right))
+
+        return let_pair
     raise AssertionError(t)
 
 
 def value_to_sem(v: Term, registry: Optional[SymbolRegistry] = None) -> SemValue:
     """Denotation of a closed value."""
     registry = registry if registry is not None else default_registry()
-    return _interp(v, {}, registry)
+    return _compile(v, {}, 0, registry)(())
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +557,7 @@ def den_distance(
             lo, witness = d, LoWitness(point, path)
     hi = max(upper_bound, lo) if upper_bound < INF else INF
     if lo > upper_bound + EPS:
-        raise AssertionError(
+        raise ModelError(
             f"lower bound {lo} exceeds certified upper bound {upper_bound}: engine bug"
         )
     return DistInterval(lo, hi, lo_witness=witness)

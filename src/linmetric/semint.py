@@ -14,7 +14,9 @@ converges in at most ``width + 1`` rounds.
 For a beta-normal term the whole strategy is equivalent to a tuple of
 first-order terms, one per output wire, over variables naming the input
 wires.  ``decompose`` computes them symbolically; ``int_distance`` sums
-per-wire distances between two such decompositions.
+per-wire distances between two such decompositions.  Each wire term is
+compiled once into a Python closure over a tuple of wire values, which
+the distance search then runs at every probe.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .core import (
     Const,
     Derivation,
     DistInterval,
+    EPS,
     Env,
     FnApp,
     INF,
     Lam,
     LetPair,
     LetStar,
-    LinError,
+    ModelError,
     Pair,
     Star,
     STAR,
@@ -53,10 +56,6 @@ from .core import (
 )
 from .dynamics import beta_normalize, is_beta_normal
 from .semden import BOTTOM, UNIT, ProbeBattery
-
-
-class ModelError(LinError):
-    """Internal invariant violation in the interactive model."""
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +624,46 @@ def decompose(
 
 def int_term_denotation(h: IntTerm, assignment: dict[str, object], registry: SymbolRegistry):
     """Value of a wire term under an assignment of input wire values."""
+    return _compile_int_term(h, lambda name: name, registry)(assignment)
+
+
+def _compile_int_term(h: IntTerm, slot: Callable[[str], object], registry: SymbolRegistry):
+    """Translate a wire term into a closure over a collection of wire
+    values, ``slot(name)`` giving the index or key of each variable's
+    value in that collection."""
     if isinstance(h, Var):
-        return assignment[h.name]
+        i = slot(h.name)
+        return lambda vals: vals[i]
     if isinstance(h, Const):
-        return h.value
+        value = h.value
+        return lambda vals: value
     if isinstance(h, Star):
-        return UNIT
+        return lambda vals: UNIT
     if isinstance(h, FnApp):
-        args = [int_term_denotation(a, assignment, registry) for a in h.args]
-        if any(a is BOTTOM for a in args):
-            return BOTTOM
-        return registry.get(h.symbol)(*args)
+        f = registry.get(h.symbol).evaluator
+        args = [_compile_int_term(a, slot, registry) for a in h.args]
+        if len(args) == 1:
+            (arg,) = args
+
+            def unary(vals):
+                a = arg(vals)
+                return BOTTOM if a is BOTTOM else f(a)
+
+            return unary
+        if len(args) == 2:
+            left, right = args
+
+            def binary(vals):
+                a, b = left(vals), right(vals)
+                return BOTTOM if a is BOTTOM or b is BOTTOM else f(a, b)
+
+            return binary
+
+        def nary(vals):
+            vs = [a(vals) for a in args]
+            return BOTTOM if any(v is BOTTOM for v in vs) else f(*vs)
+
+        return nary
     raise AssertionError(h)
 
 
@@ -699,45 +727,38 @@ def _same_skeleton(h1: IntTerm, h2: IntTerm) -> Optional[list[tuple]]:
     return None
 
 
-def _monotone_symbols(h: IntTerm, registry: SymbolRegistry) -> bool:
-    monotone = {"add", "min", "max"}
-    if isinstance(h, FnApp):
-        name_ok = h.symbol in monotone
-        return name_ok and all(_monotone_symbols(a, registry) for a in h.args)
-    return True
-
-
 def _sampled_gap(
     h1: IntTerm, h2: IntTerm, battery: ProbeBattery, registry: SymbolRegistry
 ) -> float:
     """Max |h1 - h2| over battery assignments to the shared variables,
     refined by a few rounds of local bisection per variable."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
+    slot = {v: i for i, v in enumerate(vs)}.__getitem__
+    f1 = _compile_int_term(h1, slot, registry)
+    f2 = _compile_int_term(h2, slot, registry)
 
-    def gap(assign: dict[str, object]) -> float:
-        a = int_term_denotation(h1, assign, registry)
-        b = int_term_denotation(h2, assign, registry)
+    def gap(vals: tuple | list) -> float:
+        a, b = f1(vals), f2(vals)
         if a is BOTTOM or b is BOTTOM or a is UNIT or b is UNIT:
             return 0.0
         return abs(a - b)
 
     if not vs:
-        return gap({})
+        return gap(())
     grid = battery.reals[:16]
-    best, best_assign = 0.0, {v: 0.0 for v in vs}
+    best, best_assign = 0.0, [0.0] * len(vs)
     for combo in itertools.islice(itertools.product(grid, repeat=len(vs)), 4096):
-        assign = dict(zip(vs, combo))
-        g = gap(assign)
+        g = gap(combo)
         if g > best:
-            best, best_assign = g, assign
+            best, best_assign = g, combo
     # coordinate descent with local bisection
     span = 8.0
     for _round in range(3):
-        for v in vs:
-            base = best_assign[v]
+        for i in range(len(vs)):
+            base = best_assign[i]
             for cand in (base - span, base - span / 2, base + span / 2, base + span):
-                trial = dict(best_assign)
-                trial[v] = cand
+                trial = list(best_assign)
+                trial[i] = cand
                 g = gap(trial)
                 if g > best:
                     best, best_assign = g, trial
@@ -772,8 +793,9 @@ def first_order_distance(
             else:
                 hi += registry.gap(a, b)
         lo = _sampled_gap(h1, h2, battery, registry)
-        lo = min(lo, hi)
-        return DistInterval(lo, hi)
+        if lo > hi + EPS:
+            raise ModelError(f"sampled gap {lo} exceeds certified bound {hi}")
+        return DistInterval(min(lo, hi), hi)
     lo = _sampled_gap(h1, h2, battery, registry)
     return DistInterval(lo, INF)
 

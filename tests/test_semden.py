@@ -7,6 +7,7 @@ from linmetric.core import (
     EMPTY_ENV,
     I,
     Pair,
+    ModelError,
     R,
     STAR,
     TLolli,
@@ -67,6 +68,9 @@ def test_interp_matches_eval_on_samples():
         r"(\k:(R -o R). k 2.0) (\x:R. add(x, 1.0))",
         "let x (x) y = 1.0 * 2.0 in y * x",
         r"(\p:(R (x) R). let a (x) b = p in add(a, b)) (0.5 * 0.25)",
+        # rebound names: each binder reads its own environment slot
+        r"((\x:R. (\x:R. \y:R. add(x, sin(y))) x) 1.0) 2.0",
+        r"(\x:R (x) R. let x (x) y = x in add(x, sin(y))) (1.0 * 2.0)",
     ]
     for text in cases:
         m = parse_term(text)
@@ -192,6 +196,13 @@ def test_den_distance_constant_wrapper_collapses():
     n = parse_term(r"\k:(R -o R). c(k 1.0)", reg)
     d = den_distance(EMPTY_ENV, ty, m, n, battery, upper_bound=1.0, registry=reg)
     assert d.lo == 0.0
+
+
+def test_den_distance_lower_bound_above_upper_bound_is_model_error():
+    env = env_of(("x", R))
+    m = parse_term("add(x, 1.0)")
+    with pytest.raises(ModelError):
+        den_distance(env, R, m, parse_term("x"), BATTERY, upper_bound=0.5)
 
 
 def test_den_distance_witness_replays():

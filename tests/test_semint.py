@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -29,7 +30,9 @@ from linmetric.semint import (
     first_order_distance,
     format_int_term,
     int_distance,
+    _sampled_gap,
     int_term_denotation,
+    int_term_vars,
     interp_int,
     reset_trace_stats,
     symmetry,
@@ -378,6 +381,67 @@ def test_first_order_distance_cases():
     assert d.hi == pytest.approx(math.sqrt(2.0))
     assert d.lo <= d.hi
     assert d.lo >= 1.3
+
+
+def test_first_order_distance_sample_above_registry_gap_is_model_error():
+    reg = SymbolRegistry.from_config(
+        {
+            "symbols": [
+                {"name": "sin", "arity": 1, "builtin": "sin"},
+                {"name": "cos", "arity": 1, "builtin": "cos"},
+            ],
+            "gaps": [{"a": "sin", "b": "cos", "bound": 0.1}],
+        }
+    )
+    h1, h2 = FnApp("sin", (Var("x1"),)), FnApp("cos", (Var("x1"),))
+    with pytest.raises(ModelError):
+        first_order_distance(h1, h2, ProbeBattery(reg, seed=0), reg)
+
+
+def _reference_sampled_gap(h1, h2, battery, registry):
+    """_sampled_gap's search, evaluating each probe with int_term_denotation."""
+    vs = sorted(int_term_vars(h1) | int_term_vars(h2))
+
+    def gap(assign):
+        a = int_term_denotation(h1, assign, registry)
+        b = int_term_denotation(h2, assign, registry)
+        if a is BOTTOM or b is BOTTOM or a is UNIT or b is UNIT:
+            return 0.0
+        return abs(a - b)
+
+    best, best_assign = 0.0, {v: 0.0 for v in vs}
+    for combo in itertools.islice(itertools.product(battery.reals[:16], repeat=len(vs)), 4096):
+        assign = dict(zip(vs, combo))
+        g = gap(assign)
+        if g > best:
+            best, best_assign = g, assign
+    span = 8.0
+    for _round in range(3):
+        for v in vs:
+            base = best_assign[v]
+            for cand in (base - span, base - span / 2, base + span / 2, base + span):
+                trial = dict(best_assign, **{v: cand})
+                g = gap(trial)
+                if g > best:
+                    best, best_assign = g, trial
+        span /= 2
+    return best
+
+
+def test_sampled_gap_matches_reference_search():
+    x1, x2, x3, x4 = (Var(f"x{i}") for i in range(1, 5))
+
+    def add(a, b):
+        return FnApp("add", (a, b))
+
+    pairs = [
+        (add(x1, FnApp("sin", (x2,))), add(FnApp("cos", (x1,)), x2)),
+        (add(FnApp("sin", (x3,)), add(x1, x2)), add(x2, FnApp("cos", (x1,)))),
+        # 16**4 grid points: the search keeps the first 4096
+        (add(add(x1, x2), add(x3, x4)), add(add(FnApp("sin", (x1,)), x2), add(x3, FnApp("cos", (x4,))))),
+    ]
+    for h1, h2 in pairs:
+        assert _sampled_gap(h1, h2, BATTERY, REG) == _reference_sampled_gap(h1, h2, BATTERY, REG)
 
 
 def test_first_order_distance_unit_wire():
