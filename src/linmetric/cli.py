@@ -27,6 +27,7 @@ from .dynamics import beta_normalize, evaluate, is_beta_normal
 from .metrics import (
     EngineConfig,
     ObsBudget,
+    _enc,
     admissibility_suite,
     den_engine,
     equ_upper_bound,
@@ -50,12 +51,6 @@ from . import gen
 
 USER_ERROR = 1
 INTERNAL_ERROR = 2
-
-
-def _enc(x):
-    import math
-
-    return "inf" if x == math.inf else x
 
 
 def load_registry(args) -> SymbolRegistry:
@@ -208,18 +203,21 @@ def _check_decompose(args) -> tuple[int, str]:
     rng = random.Random(args.seed)
     corpus = gen.beta_normal_corpus(args.seed, args.count, registry=registry)
     from .semden import UNIT
-    from .semint import int_term_denotation
+    from .semint import compile_int_term
+
+    def slot(name: str) -> int:  # input wire x<i> is the (i-1)-th probe value
+        return int(name[1:]) - 1
 
     failures = 0
     for env, ty, term in corpus:
         hs, _ = decompose(env, term, registry)
+        codes = [compile_int_term(h, slot, registry) for h in hs]
         wf = interp_int(env, term, registry)
         sig = wire_signature(env, ty)
         for _ in range(50):
             ins = tuple(UNIT if t == "I" else rng.uniform(-20, 20) for t in sig.in_types)
             got = wf(ins)
-            assign = {f"x{i + 1}": v for i, v in enumerate(ins)}
-            want = tuple(int_term_denotation(h, assign, registry) for h in hs)
+            want = tuple(code(ins) for code in codes)
             for a, b in zip(got, want):
                 if a is UNIT or b is UNIT:
                     if a is not b:

@@ -269,6 +269,52 @@ def children(t: Term) -> tuple[Term, ...]:
     raise AssertionError(t)
 
 
+def rebuild(t: Term, new_children: list[Term]) -> Term:
+    """``t`` with its children replaced, in the order ``children`` gives."""
+    if isinstance(t, FnApp):
+        return FnApp(t.symbol, tuple(new_children))
+    if isinstance(t, App):
+        return App(new_children[0], new_children[1])
+    if isinstance(t, Lam):
+        return Lam(t.var, t.ann, new_children[0])
+    if isinstance(t, Pair):
+        return Pair(new_children[0], new_children[1])
+    if isinstance(t, LetStar):
+        return LetStar(new_children[0], new_children[1])
+    if isinstance(t, LetPair):
+        return LetPair(t.var1, t.var2, new_children[0], new_children[1])
+    raise AssertionError(t)
+
+
+# A position in a term is the tuple of child indices leading to it.
+
+
+def paths(t: Term, path: tuple = ()):
+    """Every position in ``t``, preorder, leftmost first."""
+    yield path
+    for i, c in enumerate(children(t)):
+        yield from paths(c, path + (i,))
+
+
+def subterm_at(t: Term, path: tuple) -> Term:
+    for i in path:
+        t = children(t)[i]
+    return t
+
+
+def replace_at(t: Term, path: tuple, new: Term) -> Term:
+    if not path:
+        return new
+    kids = list(children(t))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return rebuild(t, kids)
+
+
+def const_paths(t: Term) -> list[tuple]:
+    """Positions of the numeric literals in ``t``, leftmost first."""
+    return [p for p in paths(t) if isinstance(subterm_at(t, p), Const)]
+
+
 def term_size(t: Term) -> int:
     return 1 + sum(term_size(c) for c in children(t))
 
@@ -300,21 +346,8 @@ def plug(ctx: Context, m: Term) -> Term:
     """Fill the hole, without capture avoidance: contexts bind on purpose."""
     if isinstance(ctx, Hole):
         return m
-    if isinstance(ctx, (Var, Const, Star)):
-        return ctx
-    if isinstance(ctx, FnApp):
-        return FnApp(ctx.symbol, tuple(plug(a, m) for a in ctx.args))
-    if isinstance(ctx, App):
-        return App(plug(ctx.fn, m), plug(ctx.arg, m))
-    if isinstance(ctx, Lam):
-        return Lam(ctx.var, ctx.ann, plug(ctx.body, m))
-    if isinstance(ctx, Pair):
-        return Pair(plug(ctx.left, m), plug(ctx.right, m))
-    if isinstance(ctx, LetStar):
-        return LetStar(plug(ctx.scrutinee, m), plug(ctx.body, m))
-    if isinstance(ctx, LetPair):
-        return LetPair(ctx.var1, ctx.var2, plug(ctx.scrutinee, m), plug(ctx.body, m))
-    raise AssertionError(ctx)
+    kids = children(ctx)
+    return rebuild(ctx, [plug(c, m) for c in kids]) if kids else ctx
 
 
 def hole_count(ctx: Term) -> int:
@@ -434,6 +467,9 @@ class SymbolRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._symbols))
 
+    def names_of_arity(self, k: int) -> list[str]:
+        return [n for n in self.names() if self._symbols[n].arity == k]
+
     def gap(self, f: str, g: str) -> ExtReal:
         if f == g:
             return 0.0
@@ -459,17 +495,22 @@ class SymbolRegistry:
         symbols = []
         for entry in config.get("symbols", []):
             name = entry["name"]
-            kind = entry.get("builtin")
+            kind, value = entry.get("builtin"), entry.get("value")
             if kind not in BUILTIN_KINDS:
                 raise RegistryError(f"symbol {name!r}: unknown builtin kind {kind!r}")
-            arity, fn = _make_evaluator(kind, entry.get("value"))
+            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise RegistryError(f"symbol {name!r}: value {value!r} is not a finite number")
+            arity, fn = _make_evaluator(kind, value)
             declared = entry.get("arity", arity)
             if declared != arity:
                 raise RegistryError(f"symbol {name!r}: builtin {kind!r} has arity {arity}, not {declared}")
             symbols.append(Symbol(name, arity, fn))
         gaps = {}
         for entry in config.get("gaps", []):
-            gaps[(entry["a"], entry["b"])] = float(entry["bound"])
+            bound = float(entry["bound"])
+            if not bound >= 0.0:  # also rejects NaN
+                raise RegistryError(f"gap {entry['a']!r}/{entry['b']!r}: bound {bound!r} is not >= 0")
+            gaps[(entry["a"], entry["b"])] = bound
         return SymbolRegistry(symbols, gaps)
 
     @staticmethod
@@ -620,6 +661,8 @@ class _Lexer:
                     value = float(text[i:j])
                 except ValueError:
                     raise ParseError(f"bad numeric literal {text[i:j]!r}", start)
+                if not math.isfinite(value):
+                    raise ParseError(f"numeric literal {text[i:j]!r} is out of range", start)
                 self.tokens.append(("num", text[i:j], start))
                 i = j
             elif c.isalpha() or c == "_":

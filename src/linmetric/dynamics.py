@@ -21,6 +21,7 @@ from .core import (
     App,
     Const,
     FnApp,
+    Hole,
     Lam,
     LetPair,
     LetStar,
@@ -33,6 +34,7 @@ from .core import (
     children,
     default_registry,
     free_vars,
+    rebuild,
     term_size,
 )
 
@@ -176,22 +178,6 @@ def _contract(t: Term) -> Optional[Term]:
     return None
 
 
-def _rebuild(t: Term, new_children: list[Term]) -> Term:
-    if isinstance(t, FnApp):
-        return FnApp(t.symbol, tuple(new_children))
-    if isinstance(t, App):
-        return App(new_children[0], new_children[1])
-    if isinstance(t, Lam):
-        return Lam(t.var, t.ann, new_children[0])
-    if isinstance(t, Pair):
-        return Pair(new_children[0], new_children[1])
-    if isinstance(t, LetStar):
-        return LetStar(new_children[0], new_children[1])
-    if isinstance(t, LetPair):
-        return LetPair(t.var1, t.var2, new_children[0], new_children[1])
-    raise AssertionError(t)
-
-
 def _step_normal_order(t: Term) -> Optional[Term]:
     contracted = _contract(t)
     if contracted is not None:
@@ -202,7 +188,7 @@ def _step_normal_order(t: Term) -> Optional[Term]:
         if stepped is not None:
             out = list(kids)
             out[i] = stepped
-            return _rebuild(t, out)
+            return rebuild(t, out)
     return None
 
 
@@ -227,41 +213,53 @@ def is_beta_normal(t: Term) -> bool:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return _alpha(a, b, {}, {})
+    return literal_diffs(a, b) == []
 
 
-def _alpha(a: Term, b: Term, ma: dict, mb: dict) -> bool:
+def literal_diffs(
+    a: Term, b: Term, ma: dict = {}, mb: dict = {}
+) -> Optional[list[tuple[tuple, float, float]]]:
+    """Where two terms that agree up to bound names differ, as
+    ``(position, a_value, b_value)`` for each pair of unequal literals at
+    the same position; None if they differ anywhere else.
+
+    ``ma``/``mb`` map each bound name of ``a``/``b`` to a tag naming its
+    binder, so that two bound variables agree iff they have the same tag;
+    they are only read, never written.
+    """
     if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return ma.get(a.name, a.name) == mb.get(b.name, b.name)
+        return None
     if isinstance(a, Const):
-        return a.value == b.value
-    if isinstance(a, Star):
-        return True
+        return [] if a.value == b.value else [((), a.value, b.value)]
+    if isinstance(a, Var):
+        return [] if ma.get(a.name, a.name) == mb.get(b.name, b.name) else None
+    if isinstance(a, (Star, Hole)):
+        return []
     if isinstance(a, FnApp):
-        return a.symbol == b.symbol and len(a.args) == len(b.args) and all(
-            _alpha(x, y, ma, mb) for x, y in zip(a.args, b.args)
-        )
-    if isinstance(a, App):
-        return _alpha(a.fn, b.fn, ma, mb) and _alpha(a.arg, b.arg, ma, mb)
-    if isinstance(a, Pair):
-        return _alpha(a.left, b.left, ma, mb) and _alpha(a.right, b.right, ma, mb)
-    if isinstance(a, Lam):
+        if a.symbol != b.symbol or len(a.args) != len(b.args):
+            return None
+        pairs = [(x, y, ma, mb) for x, y in zip(a.args, b.args)]
+    elif isinstance(a, Lam):
         if a.ann != b.ann:
-            return False
+            return None
         tag = f"#b{len(ma)}"
-        return _alpha(a.body, b.body, {**ma, a.var: tag}, {**mb, b.var: tag})
-    if isinstance(a, LetStar):
-        return _alpha(a.scrutinee, b.scrutinee, ma, mb) and _alpha(a.body, b.body, ma, mb)
-    if isinstance(a, LetPair):
-        if not _alpha(a.scrutinee, b.scrutinee, ma, mb):
-            return False
+        pairs = [(a.body, b.body, {**ma, a.var: tag}, {**mb, b.var: tag})]
+    elif isinstance(a, LetPair):
         t1, t2 = f"#b{len(ma)}", f"#b{len(ma)}'"
-        return _alpha(
-            a.body, b.body, {**ma, a.var1: t1, a.var2: t2}, {**mb, b.var1: t1, b.var2: t2}
-        )
-    raise AssertionError(a)
+        pairs = [
+            (a.scrutinee, b.scrutinee, ma, mb),
+            (a.body, b.body, {**ma, a.var1: t1, a.var2: t2}, {**mb, b.var1: t1, b.var2: t2}),
+        ]
+    else:  # App, Pair, LetStar: positional children, no binders
+        pairs = [(x, y, ma, mb) for x, y in zip(children(a), children(b))]
+    out = []
+    for i, (x, y, mx, my) in enumerate(pairs):
+        sub = literal_diffs(x, y, mx, my)
+        if sub is None:
+            return None
+        if sub:
+            out += [((i,) + p, u, v) for p, u, v in sub]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def _alpha(a: Term, b: Term, ma: dict, mb: dict) -> bool:
 def _eta_contract(t: Term) -> Term:
     kids = [_eta_contract(c) for c in children(t)]
     if kids:
-        t = _rebuild(t, kids)
+        t = rebuild(t, kids)
     if isinstance(t, Lam) and isinstance(t.body, App):
         arg = t.body.arg
         if isinstance(arg, Var) and arg.name == t.var and t.var not in free_vars(t.body.fn):
@@ -294,7 +292,7 @@ def _eta_contract(t: Term) -> Term:
 def _fold_literals(t: Term, registry: SymbolRegistry) -> Term:
     kids = [_fold_literals(c, registry) for c in children(t)]
     if kids:
-        t = _rebuild(t, kids)
+        t = rebuild(t, kids)
     if isinstance(t, FnApp) and all(isinstance(a, Const) for a in t.args):
         sym = registry.get(t.symbol)
         return Const(sym(*[a.value for a in t.args]))
@@ -343,7 +341,7 @@ def _hoist_lets(t: Term) -> Term:
     """
     kids = [_hoist_lets(c) for c in children(t)]
     if kids:
-        t = _rebuild(t, kids)
+        t = rebuild(t, kids)
     if isinstance(t, Lam):
         return t  # a let is never hoisted past a binder it may mention
     if _is_let(t):
@@ -378,7 +376,7 @@ def _extract_let(t: Term) -> Optional[Term]:
             binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
             kids_new = list(kids)
             kids_new[i] = body
-            return _make_let(binders, scrut, _rebuild(t, kids_new))
+            return _make_let(binders, scrut, rebuild(t, kids_new))
     return None
 
 
@@ -386,7 +384,7 @@ def _mask_literals(t: Term) -> Term:
     if isinstance(t, Const):
         return Const(0.0)
     kids = [_mask_literals(c) for c in children(t)]
-    return _rebuild(t, kids) if kids else t
+    return rebuild(t, kids) if kids else t
 
 
 def _let_sort_key(t: Term) -> tuple[str, str]:
@@ -401,7 +399,7 @@ def _let_sort_key(t: Term) -> tuple[str, str]:
 def _sort_lets(t: Term) -> Term:
     kids = [_sort_lets(c) for c in children(t)]
     if kids:
-        t = _rebuild(t, kids)
+        t = rebuild(t, kids)
     changed = True
     while changed:
         changed = False

@@ -19,6 +19,7 @@ from .core import (
     Env,
     EMPTY_ENV,
     FnApp,
+    HOLE,
     I,
     Lam,
     LetPair,
@@ -35,10 +36,14 @@ from .core import (
     TUnit,
     Ty,
     Var,
-    children,
+    const_paths,
+    free_vars,
+    paths,
+    replace_at,
+    subterm_at,
     term_size,
 )
-from .dynamics import _rebuild, beta_normalize
+from .dynamics import _is_let, _let_parts, _make_let, beta_normalize, eq_decide, substitute
 from .semden import BOTTOM
 from .semint import WireFunction
 
@@ -162,8 +167,8 @@ class _TermGen:
     def __init__(self, rng: random.Random, registry: SymbolRegistry):
         self.rng = rng
         self.registry = registry
-        self.unary = [s for s in registry.names() if registry.arity(s) == 1]
-        self.binary = [s for s in registry.names() if registry.arity(s) == 2]
+        self.unary = registry.names_of_arity(1)
+        self.binary = registry.names_of_arity(2)
         self.counter = 0
 
     def fresh(self) -> str:
@@ -304,96 +309,55 @@ def gen_feasible_pair_site(
 # Mutations and derivably-equal variants
 
 
-def _const_paths(t: Term, path=()):  # leftmost first
-    if isinstance(t, Const):
-        yield path
-    for i, c in enumerate(children(t)):
-        yield from _const_paths(c, path + (i,))
-
-
-def _replace(t: Term, path: tuple, new: Term) -> Term:
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
-    return _rebuild(t, kids)
-
-
-def _get(t: Term, path: tuple) -> Term:
-    for i in path:
-        t = children(t)[i]
-    return t
-
-
 _SYM_SWAPS = {"sin": "cos", "cos": "sin", "min": "max", "max": "min"}
 
 
 def mutate(rng: random.Random, t: Term) -> Term:
     """A same-type variant: literal nudges and same-arity symbol swaps."""
     out = t
-    paths = list(_const_paths(out))
-    rng.shuffle(paths)
-    for path in paths[: max(1, len(paths) // 2)]:
-        c = _get(out, path)
-        out = _replace(out, path, Const(c.value + rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])))
+    lits = const_paths(out)
+    rng.shuffle(lits)
+    for path in lits[: max(1, len(lits) // 2)]:
+        c = subterm_at(out, path)
+        out = replace_at(out, path, Const(c.value + rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])))
     if rng.random() < 0.3:
         sym_paths = [
             p
-            for p in _all_paths(out)
-            if isinstance(_get(out, p), FnApp) and _get(out, p).symbol in _SYM_SWAPS
+            for p in paths(out)
+            if isinstance(subterm_at(out, p), FnApp) and subterm_at(out, p).symbol in _SYM_SWAPS
         ]
         if sym_paths:
             p = rng.choice(sym_paths)
-            node = _get(out, p)
-            out = _replace(out, p, FnApp(_SYM_SWAPS[node.symbol], node.args))
+            node = subterm_at(out, p)
+            out = replace_at(out, p, FnApp(_SYM_SWAPS[node.symbol], node.args))
     return out
 
 
-def _all_paths(t: Term, path=()):
-    yield path
-    for i, c in enumerate(children(t)):
-        yield from _all_paths(c, path + (i,))
-
-
 def _rename_binder_at(t: Term, rng: random.Random) -> Term:
-    from .dynamics import substitute
-
-    lam_paths = [p for p in _all_paths(t) if isinstance(_get(t, p), Lam)]
+    lam_paths = [p for p in paths(t) if isinstance(subterm_at(t, p), Lam)]
     if not lam_paths:
         return t
     p = rng.choice(lam_paths)
-    node = _get(t, p)
+    node = subterm_at(t, p)
     nv = f"rn{rng.randint(0, 10 ** 6)}"
     renamed = Lam(nv, node.ann, substitute(node.body, node.var, Var(nv)))
-    return _replace(t, p, renamed)
+    return replace_at(t, p, renamed)
 
 
 def _swap_adjacent_lets(t: Term, rng: random.Random) -> Term:
-    from .core import free_vars
-
-    def parts(node):
-        if isinstance(node, LetStar):
-            return (), node.scrutinee, node.body
-        return (node.var1, node.var2), node.scrutinee, node.body
-
-    def make(binders, scrut, body):
-        if binders:
-            return LetPair(binders[0], binders[1], scrut, body)
-        return LetStar(scrut, body)
-
     candidates = []
-    for p in _all_paths(t):
-        node = _get(t, p)
-        if isinstance(node, (LetStar, LetPair)):
-            b1, s1, inner = parts(node)
-            if isinstance(inner, (LetStar, LetPair)):
-                b2, s2, body = parts(inner)
+    for p in paths(t):
+        node = subterm_at(t, p)
+        if _is_let(node):
+            b1, s1, inner = _let_parts(node)
+            if _is_let(inner):
+                b2, s2, body = _let_parts(inner)
                 if not (set(b1) & free_vars(s2)) and not (set(b2) & free_vars(s1)):
                     candidates.append((p, b1, s1, b2, s2, body))
     if not candidates:
         return t
     p, b1, s1, b2, s2, body = rng.choice(candidates)
-    return _replace(t, p, make(b2, s2, make(b1, s1, body)))
+    return replace_at(t, p, _make_let(b2, s2, _make_let(b1, s1, body)))
 
 
 def equal_variant(
@@ -404,8 +368,6 @@ def equal_variant(
     Candidate rewrites are all derivable; the decidability post-check
     keeps the promise even where the (incomplete) decider falls short.
     """
-    from .dynamics import eq_decide
-
     registry = registry if registry is not None else corpus_registry()
     out = t
     for _ in range(rng.randint(1, 3)):
@@ -414,15 +376,14 @@ def equal_variant(
             v = f"eqv{rng.randint(0, 10 ** 6)}"
             cand = App(Lam(v, ty, Var(v)), out)
         elif roll < 0.5:
-            paths = list(_all_paths(out))
-            p = rng.choice(paths)
-            cand = _replace(out, p, LetStar(STAR, _get(out, p)))
+            p = rng.choice(list(paths(out)))
+            cand = replace_at(out, p, LetStar(STAR, subterm_at(out, p)))
         elif roll < 0.7:
-            paths = list(_const_paths(out))
-            if paths:
-                p = rng.choice(paths)
-                c = _get(out, p)
-                cand = _replace(out, p, FnApp("add", (Const(0.0), Const(c.value))))
+            lits = const_paths(out)
+            if lits:
+                p = rng.choice(lits)
+                c = subterm_at(out, p)
+                cand = replace_at(out, p, FnApp("add", (Const(0.0), Const(c.value))))
             else:
                 cand = LetStar(STAR, out)
         elif roll < 0.85:
@@ -520,8 +481,6 @@ def admissibility_corpus(seed: int, count: int, registry: Optional[SymbolRegistr
     for _ in range(count):
         a = round(rng.uniform(-5, 5), 2)
         b = round(rng.uniform(-5, 5), 2)
-        from .core import HOLE
-
         ctx = FnApp("add", (HOLE, Const(round(rng.uniform(-3, 3), 2))))
         if rng.random() < 0.5:
             ctx = FnApp(rng.choice(["sin", "cos"]), (ctx,))
@@ -552,8 +511,8 @@ def random_wire_function(
     rng: random.Random, n_in: int, n_out: int, registry: Optional[SymbolRegistry] = None
 ) -> WireFunction:
     registry = registry if registry is not None else corpus_registry()
-    unary = [s for s in registry.names() if registry.arity(s) == 1]
-    binary = [s for s in registry.names() if registry.arity(s) == 2]
+    unary = registry.names_of_arity(1)
+    binary = registry.names_of_arity(2)
     plans = []
     for _ in range(n_out):
         roll = rng.random()

@@ -30,7 +30,6 @@ from .core import (
     Env,
     FnApp,
     HOLE,
-    Hole,
     INF,
     Lam,
     LetPair,
@@ -39,7 +38,6 @@ from .core import (
     Pair,
     R,
     STAR,
-    Star,
     SymbolRegistry,
     Term,
     TLolli,
@@ -50,15 +48,17 @@ from .core import (
     TypeError_,
     Var,
     check_context,
-    children,
+    const_paths,
     default_registry,
     is_observable,
     plug,
     print_term,
     print_type,
+    replace_at,
+    subterm_at,
     typecheck,
 )
-from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate
+from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate, literal_diffs
 from .semden import ProbeBattery, den_distance, ground_l1
 from .semint import int_distance
 
@@ -155,8 +155,7 @@ def _check_node(d: QDerivation, registry: SymbolRegistry, path: str) -> Judgment
 
 def check_qderivation(d: QDerivation, registry: Optional[SymbolRegistry] = None) -> float:
     """Validate every node and return the certified bound at the root."""
-    registry = registry if registry is not None else default_registry()
-    return _check_node(d, registry, "root").r
+    return qderivation_judgment(d, registry).r
 
 
 def qderivation_judgment(d: QDerivation, registry: Optional[SymbolRegistry] = None) -> Judgment:
@@ -186,67 +185,6 @@ def qderivation_to_dict(d: QDerivation) -> dict:
 # Equational upper bounds
 
 
-def _literal_diffs(a: Term, b: Term, ma: dict, mb: dict) -> Optional[list[tuple[tuple, float, float]]]:
-    """Positions where two alpha-aligned terms differ, literals only."""
-    if isinstance(a, Const) and isinstance(b, Const):
-        if a.value == b.value:
-            return []
-        return [((), a.value, b.value)]
-    if type(a) is not type(b):
-        return None
-    if isinstance(a, Var):
-        return [] if ma.get(a.name, a.name) == mb.get(b.name, b.name) else None
-    if isinstance(a, (Star, Hole)):
-        return []
-    if isinstance(a, FnApp):
-        if a.symbol != b.symbol or len(a.args) != len(b.args):
-            return None
-        out = []
-        for i, (x, y) in enumerate(zip(a.args, b.args)):
-            sub = _literal_diffs(x, y, ma, mb)
-            if sub is None:
-                return None
-            out += [((i,) + p, u, v) for p, u, v in sub]
-        return out
-    if isinstance(a, Lam):
-        if a.ann != b.ann:
-            return None
-        tag = f"#b{len(ma)}"
-        sub = _literal_diffs(a.body, b.body, {**ma, a.var: tag}, {**mb, b.var: tag})
-        if sub is None:
-            return None
-        return [((0,) + p, u, v) for p, u, v in sub]
-    if isinstance(a, LetPair):
-        s = _literal_diffs(a.scrutinee, b.scrutinee, ma, mb)
-        if s is None:
-            return None
-        t1, t2 = f"#b{len(ma)}", f"#b{len(ma)}'"
-        body = _literal_diffs(
-            a.body, b.body, {**ma, a.var1: t1, a.var2: t2}, {**mb, b.var1: t1, b.var2: t2}
-        )
-        if body is None:
-            return None
-        return [((0,) + p, u, v) for p, u, v in s] + [((1,) + p, u, v) for p, u, v in body]
-    # App, Pair, LetStar: positional children
-    subs = []
-    for i, (x, y) in enumerate(zip(children(a), children(b))):
-        sub = _literal_diffs(x, y, ma, mb)
-        if sub is None:
-            return None
-        subs += [((i,) + p, u, v) for p, u, v in sub]
-    return subs
-
-
-def _replace_at(t: Term, path: tuple, new: Term) -> Term:
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
-    from .dynamics import _rebuild
-
-    return _rebuild(t, kids)
-
-
 def equ_upper_bound(
     env: Env,
     ty: Ty,
@@ -267,15 +205,15 @@ def equ_upper_bound(
     cn = eq_canonical(n, registry)
     if alpha_eq(cm, cn):
         return 0.0, Eq0(env, ty, m, n)
-    diffs = _literal_diffs(cm, cn, {}, {})
+    diffs = literal_diffs(cm, cn)
     if diffs is None:
         return INF, None
     steps: list[QDerivation] = []
     current = cm
     for path, a, b in diffs:
-        ctx = _replace_at(current, path, HOLE)
+        ctx = replace_at(current, path, HOLE)
         steps.append(CtxRule(ctx, env, ty, ConstAxiom(a, b, abs(a - b))))
-        current = _replace_at(current, path, Const(b))
+        current = replace_at(current, path, Const(b))
     chain: QDerivation = steps[0]
     for s in steps[1:]:
         chain = Trans(chain, s)
@@ -379,18 +317,11 @@ def _argument_pairs(ty: Ty, registry: SymbolRegistry):
         yield v, v, 0.0
     # literal-perturbed pairs: distance certified by the literal gap
     for v in values[:4]:
-        lits = [s for s in _all_const_paths(v)]
+        lits = const_paths(v)
         if lits:
-            path, a = lits[0]
+            a = subterm_at(v, lits[0]).value
             for delta in (0.5, 2.0):
-                yield v, _replace_at(v, path, Const(a + delta)), delta + 1e-12
-
-
-def _all_const_paths(t: Term, path: tuple = ()):  # leftmost first
-    if isinstance(t, Const):
-        yield path, t.value
-    for i, c in enumerate(children(t)):
-        yield from _all_const_paths(c, path + (i,))
+                yield v, replace_at(v, lits[0], Const(a + delta)), delta + 1e-12
 
 
 def log_distance_observable(
@@ -425,9 +356,12 @@ class ObsWitness:
         }
 
 
+# how many arguments an observing context applies to a function value
+APPLY_DEPTH = 2
+
+
 @dataclass(frozen=True)
 class ObsBudget:
-    apply_depth: int = 2
     values_per_type: int = 5
     max_contexts: int = 300
 
@@ -465,8 +399,8 @@ def _consumers(scrut: Term, src: Ty, dst: Ty, registry: SymbolRegistry, depth: i
     """Bodies consuming ``scrut : src`` linearly and producing ``dst``."""
     if depth < 0:
         return []
-    unary = [s for s in registry.names() if registry.arity(s) == 1]
-    binary = [s for s in registry.names() if registry.arity(s) == 2]
+    unary = registry.names_of_arity(1)
+    binary = registry.names_of_arity(2)
     if isinstance(dst, TReal):
         if isinstance(src, TReal):
             out = [scrut]
@@ -594,7 +528,7 @@ def obs_lower_bound(
     best_witness = None
     count = 0
     for base, base_ty in base_contexts:
-        for ctx, cty in _elaborations(base, base_ty, registry, budget, budget.apply_depth):
+        for ctx, cty in _elaborations(base, base_ty, registry, budget, APPLY_DEPTH):
             count += 1
             if count > budget.max_contexts:
                 break
@@ -755,14 +689,9 @@ def ordering_report(
     the pair.
     """
     cfg = cfg if cfg is not None else EngineConfig.make()
-    t1 = typecheck(env, m, cfg.registry)
-    t2 = typecheck(env, n, cfg.registry)
-    if t1 != ty or t2 != ty:
-        raise TypeError_(
-            f"pair does not have the stated type: {print_type(t1)} vs {print_type(t2)}"
-        )
-    obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry)
+    # first, so that its type check rejects an ill-typed pair
     equ_hi, cert = equ_upper_bound(env, ty, m, n, cfg.registry)
+    obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry)
     den = den_distance(
         env, ty, m, n, cfg.battery, depth=cfg.depth, upper_bound=equ_hi, registry=cfg.registry
     )

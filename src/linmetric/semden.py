@@ -279,6 +279,8 @@ def sem_l1(a: SemValue, b: SemValue, ty: Ty) -> float:
 # Probe batteries
 
 DEFAULT_GRID = (-10.0, -1.0, -0.5, 0.0, 0.5, 1.0, 10.0)
+# how deeply the function samples compose registry symbols
+FN_DEPTH = 2
 
 
 class ProbeBattery:
@@ -286,7 +288,7 @@ class ProbeBattery:
 
     Reals come from a fixed grid plus seeded uniform draws; functions
     come from a combinator pool (constants, projections into registry
-    symbols, compositions up to the configured depth).  Every generated
+    symbols, compositions up to depth ``FN_DEPTH``).  Every generated
     function is non-expansive by construction.
     """
 
@@ -294,18 +296,15 @@ class ProbeBattery:
         self,
         registry: Optional[SymbolRegistry] = None,
         seed: int = 0,
-        depth: int = 2,
-        grid: tuple[float, ...] = DEFAULT_GRID,
         draws: int = 25,
         max_samples: int = 48,
     ):
         self.registry = registry if registry is not None else default_registry()
         self.seed = seed
-        self.depth = depth
         self.draws = draws
         self.max_samples = max_samples
         rng = random.Random(seed)
-        self.reals = list(grid) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
+        self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
         self._fn_cache: dict[Ty, list[SemValue]] = {}
 
     # -- scalar-valued combinators ------------------------------------------
@@ -313,8 +312,8 @@ class ProbeBattery:
     def _real_probes(self, src: Ty, depth: int) -> list[Callable[[SemValue], SemValue]]:
         """Non-expansive maps src -> R, as python callables."""
         reg = self.registry
-        unary = [n for n in reg.names() if reg.arity(n) == 1]
-        binary = [n for n in reg.names() if reg.arity(n) == 2]
+        unary = reg.names_of_arity(1)
+        binary = reg.names_of_arity(2)
 
         def lift_real(g: Callable[[float], float]) -> Callable[[SemValue], SemValue]:
             def f(v: SemValue) -> SemValue:
@@ -354,8 +353,7 @@ class ProbeBattery:
                 return lambda v: BOTTOM if v is BOTTOM else h(v.right)
 
             out = [via_left(h) for h in lefts[:4]] + [via_right(h) for h in rights[:4]]
-            binary_names = [n for n in self.registry.names() if self.registry.arity(n) == 2]
-            for n in binary_names:
+            for n in binary:
                 fsym = self.registry.get(n).evaluator
                 for hl in lefts[:2]:
                     for hr in rights[:2]:
@@ -428,18 +426,18 @@ class ProbeBattery:
         out: list[SemValue] = []
         # active maps, shaped by the result type
         if isinstance(ty.res, TReal):
-            for h in self._real_probes(ty.arg, self.depth):
+            for h in self._real_probes(ty.arg, FN_DEPTH):
                 out.append(Closure(h))
         elif isinstance(ty.res, TUnit):
             out.append(Closure(lambda _x: UNIT))
         elif isinstance(ty.res, TTensor):
             # one active component at a time keeps the map non-expansive
             if isinstance(ty.res.left, TReal):
-                for h in self._real_probes(ty.arg, self.depth)[:4]:
+                for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
                     for w in self.samples(ty.res.right)[:2]:
                         out.append(Closure(lambda x, _h=h, _w=w: PairVal(_h(x), _w)))
             if isinstance(ty.res.right, TReal):
-                for h in self._real_probes(ty.arg, self.depth)[:4]:
+                for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
                     for w in self.samples(ty.res.left)[:2]:
                         out.append(Closure(lambda x, _h=h, _w=w: PairVal(_w, _h(x))))
         elif isinstance(ty.res, TLolli):
@@ -448,8 +446,7 @@ class ProbeBattery:
                 # x |-> (y |-> f(h(x), g(y))): non-expansive in each stage
                 hs = self._real_probes(ty.arg, 1)[:3]
                 gs = self._real_probes(inner.arg, 1)[:3] if not isinstance(inner.arg, TUnit) else []
-                binary = [n for n in self.registry.names() if self.registry.arity(n) == 2]
-                for n in binary[:1]:
+                for n in self.registry.names_of_arity(2)[:1]:
                     fsym = self.registry.get(n).evaluator
                     for h in hs:
                         for g in gs:

@@ -62,13 +62,6 @@ from .semden import BOTTOM, UNIT, ProbeBattery
 # Wire bookkeeping
 
 
-def env_pos_atoms(env: Env) -> tuple[str, ...]:
-    out: tuple[str, ...] = ()
-    for _, t in env:
-        out += pos_atoms(t)
-    return out
-
-
 def env_neg_atoms(env: Env) -> tuple[str, ...]:
     out: tuple[str, ...] = ()
     for _, t in env:
@@ -624,10 +617,10 @@ def decompose(
 
 def int_term_denotation(h: IntTerm, assignment: dict[str, object], registry: SymbolRegistry):
     """Value of a wire term under an assignment of input wire values."""
-    return _compile_int_term(h, lambda name: name, registry)(assignment)
+    return compile_int_term(h, lambda name: name, registry)(assignment)
 
 
-def _compile_int_term(h: IntTerm, slot: Callable[[str], object], registry: SymbolRegistry):
+def compile_int_term(h: IntTerm, slot: Callable[[str], object], registry: SymbolRegistry):
     """Translate a wire term into a closure over a collection of wire
     values, ``slot(name)`` giving the index or key of each variable's
     value in that collection."""
@@ -641,7 +634,7 @@ def _compile_int_term(h: IntTerm, slot: Callable[[str], object], registry: Symbo
         return lambda vals: UNIT
     if isinstance(h, FnApp):
         f = registry.get(h.symbol).evaluator
-        args = [_compile_int_term(a, slot, registry) for a in h.args]
+        args = [compile_int_term(a, slot, registry) for a in h.args]
         if len(args) == 1:
             (arg,) = args
 
@@ -734,8 +727,8 @@ def _sampled_gap(
     refined by a few rounds of local bisection per variable."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
     slot = {v: i for i, v in enumerate(vs)}.__getitem__
-    f1 = _compile_int_term(h1, slot, registry)
-    f2 = _compile_int_term(h2, slot, registry)
+    f1 = compile_int_term(h1, slot, registry)
+    f2 = compile_int_term(h2, slot, registry)
 
     def gap(vals: tuple | list) -> float:
         a, b = f1(vals), f2(vals)

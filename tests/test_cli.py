@@ -227,3 +227,24 @@ def test_dist_chain_violation_exits_2(workdir, capsys, monkeypatch):
         ["dist", str(workdir / "k2.lin"), str(workdir / "k3.lin"), "--env", "k:R -o I", "--json"]
     )
     assert code == 2
+
+
+def test_dist_rejects_an_overflowing_literal(workdir, capsys):
+    (workdir / "huge.lin").write_text("1e999")
+    code = main(["dist", str(workdir / "huge.lin"), str(workdir / "huge.lin"), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "out of range" in err
+    assert out == ""
+
+
+def test_eval_rejects_a_registry_with_a_nan_value(workdir, capsys):
+    (workdir / "nan.json").write_text(
+        '{"symbols": [{"name": "s", "arity": 1, "builtin": "scale_le1", "value": NaN}]}'
+    )
+    (workdir / "s.lin").write_text("s(1.0)")
+    code = main(["eval", str(workdir / "s.lin"), "--symbols", str(workdir / "nan.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "not a finite number" in err
+    assert out == ""

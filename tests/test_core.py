@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from linmetric.core import (
@@ -14,6 +16,7 @@ from linmetric.core import (
     Pair,
     ParseError,
     R,
+    RegistryError,
     STAR,
     SymbolRegistry,
     Symbol,
@@ -22,18 +25,24 @@ from linmetric.core import (
     TypeError_,
     Var,
     check_context,
+    const_paths,
     default_registry,
     env_of,
     parse_env,
     parse_term,
     parse_type,
+    paths,
+    plug,
     polarity,
     print_term,
     print_type,
+    replace_at,
+    subterm_at,
     tensor_of,
     typecheck,
     type_polarity,
 )
+from linmetric.gen import corpus_registry
 
 REG = default_registry()
 
@@ -196,7 +205,34 @@ def test_polarity_additive():
     assert total == split
 
 
-# -- contexts ---------------------------------------------------------------
+# -- positions and contexts --------------------------------------------------
+
+
+def test_paths_are_preorder_leftmost_first():
+    t = parse_term("add(sin(1.0), 2.0) * 3.0")
+    assert list(paths(t)) == [(), (0,), (0, 0), (0, 0, 0), (0, 1), (1,)]
+    assert const_paths(t) == [(0, 0, 0), (0, 1), (1,)]
+    assert [subterm_at(t, p).value for p in const_paths(t)] == [1.0, 2.0, 3.0]
+
+
+def test_replace_at_and_subterm_at_round_trip():
+    t = parse_term(r"\x:R. let a (x) b = x * 1.0 in add(a, b)")
+    for p in paths(t):
+        sub = subterm_at(t, p)
+        assert replace_at(t, p, sub) == t
+        ctx = replace_at(t, p, HOLE)
+        assert subterm_at(ctx, p) == HOLE
+        assert plug(ctx, sub) == t
+    assert replace_at(t, (0, 1, 0), Const(5.0)) == parse_term(
+        r"\x:R. let a (x) b = x * 1.0 in add(5.0, b)"
+    )
+
+
+def test_plug_captures_on_purpose():
+    assert plug(parse_term(r"\x:R. [-]"), Var("x")) == Lam("x", R, Var("x"))
+    assert plug(parse_term("let a (x) b = [-] in a * b"), Var("a")) == parse_term(
+        "let a (x) b = a in a * b"
+    )
 
 
 def test_context_identity():
@@ -280,6 +316,39 @@ def test_parser_number_edges():
     assert parse_term("-2.5").value == -2.5
     with pytest.raises(ParseError):
         parse_term("1.2.3")
+    for text in ("1e999", "-1e999", "add(1.0, 2e400)"):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_term(text)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"symbols": [{"name": "s", "arity": 1, "builtin": "scale_le1", "value": math.nan}]},
+        {"symbols": [{"name": "c", "arity": 1, "builtin": "const", "value": math.inf}]},
+        {"symbols": [{"name": "c", "arity": 1, "builtin": "const", "value": "7"}]},
+        {"gaps": [{"a": "sin", "b": "cos", "bound": math.nan}]},
+        {"gaps": [{"a": "sin", "b": "cos", "bound": -1.0}]},
+    ],
+)
+def test_registry_rejects_non_finite_values_and_bad_gaps(config):
+    with pytest.raises(RegistryError):
+        SymbolRegistry.from_config(config)
+
+
+def test_registry_accepts_an_infinite_gap():
+    reg = SymbolRegistry.from_config({"gaps": [{"a": "min", "b": "max", "bound": math.inf}]})
+    assert reg.gap("max", "min") == math.inf
+
+
+def test_names_of_arity():
+    reg = default_registry()
+    assert reg.names_of_arity(1) == ["cos", "sin"]
+    assert reg.names_of_arity(2) == ["add"]
+    assert reg.names_of_arity(3) == []
+    reg = corpus_registry()
+    assert reg.names_of_arity(1) == ["cos", "sin"]
+    assert reg.names_of_arity(2) == ["add", "max", "min"]
 
 
 def test_parser_rejects_symbol_as_variable():

@@ -32,6 +32,7 @@ from linmetric.dynamics import (
     eq_decide,
     evaluate,
     is_beta_normal,
+    literal_diffs,
     substitute,
 )
 
@@ -217,6 +218,25 @@ def test_alpha_eq():
     assert alpha_eq(
         parse_term("let a (x) b = p in a * b"), parse_term("let c (x) d = p in c * d")
     )
+    # rebound binders: the same pattern of bound names or not
+    same = [
+        (r"\x:R. \y:R. add(x, y)", r"\y:R. \x:R. add(y, x)"),
+        ("let a (x) b = p in add(a, b)", "let b (x) a = p in add(b, a)"),
+    ]
+    crossed = [
+        (r"\x:R. \y:R. add(x, y)", r"\y:R. \x:R. add(x, y)"),
+        (r"\x:R. x", r"\y:R. x"),  # bound in one, free in the other
+        ("let a (x) b = p in add(a, b)", "let b (x) a = p in add(a, b)"),
+    ]
+    for texts, want in ((same, []), (crossed, None)):
+        for a, b in texts:
+            a, b = parse_term(a), parse_term(b)
+            assert literal_diffs(a, b) == want
+            assert alpha_eq(a, b) is (want == [])
+    # terms that differ only in one literal are not alpha-equal
+    a, b = parse_term(r"\x:R. add(x, 1.0)"), parse_term(r"\y:R. add(y, 2.5)")
+    assert literal_diffs(a, b) == [((0, 1), 1.0, 2.5)]
+    assert not alpha_eq(a, b)
 
 
 # -- agreement property -------------------------------------------------------------
