@@ -129,10 +129,11 @@ def cmd_dist(args) -> int:
                 "certificate": qderivation_to_dict(cert) if cert is not None else None,
             }
         }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(report, sort_keys=True, indent=None if args.json else 2, allow_nan=False)
+    except ValueError as e:  # every number reaching a report should be finite or go through _enc
+        raise ModelError(f"report is not valid JSON: {e}") from None
+    print(text)
     return exit_code
 
 

@@ -64,6 +64,10 @@ class ModelError(LinError):
     """Internal invariant violation in a semantic model."""
 
 
+class EvalError(LinError):
+    """Evaluation failed: a symbol's result is not a finite number, or the input is not typeable."""
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -430,6 +434,13 @@ def _make_evaluator(kind: str, value: Optional[float]) -> tuple[int, Callable[..
     raise RegistryError(f"unknown builtin kind {kind!r}")
 
 
+def _field(entry, key: str):
+    try:
+        return entry[key]
+    except (KeyError, TypeError):
+        raise RegistryError(f"registry entry {entry!r} has no {key!r}") from None
+
+
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -437,7 +448,18 @@ class Symbol:
     evaluator: Callable[..., float]
 
     def __call__(self, *args: float) -> float:
-        return self.evaluator(*args)
+        """The evaluator's result, checked to be a finite number.
+
+        The interpreters' inner loops call ``evaluator`` directly and skip
+        this check; their inputs are bounded probe values.
+        """
+        try:
+            out = self.evaluator(*args)
+        except (ValueError, OverflowError) as e:
+            raise EvalError(f"{self.name}{args}: {e}") from None
+        if not math.isfinite(out):
+            raise EvalError(f"{self.name}{args} = {out!r} is not a finite number")
+        return out
 
 
 class SymbolRegistry:
@@ -494,7 +516,7 @@ class SymbolRegistry:
     def from_config(config: dict) -> "SymbolRegistry":
         symbols = []
         for entry in config.get("symbols", []):
-            name = entry["name"]
+            name = _field(entry, "name")
             kind, value = entry.get("builtin"), entry.get("value")
             if kind not in BUILTIN_KINDS:
                 raise RegistryError(f"symbol {name!r}: unknown builtin kind {kind!r}")
@@ -507,10 +529,14 @@ class SymbolRegistry:
             symbols.append(Symbol(name, arity, fn))
         gaps = {}
         for entry in config.get("gaps", []):
-            bound = float(entry["bound"])
+            a, b, bound = _field(entry, "a"), _field(entry, "b"), _field(entry, "bound")
+            try:
+                bound = float(bound)
+            except (TypeError, ValueError):
+                raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not a number") from None
             if not bound >= 0.0:  # also rejects NaN
-                raise RegistryError(f"gap {entry['a']!r}/{entry['b']!r}: bound {bound!r} is not >= 0")
-            gaps[(entry["a"], entry["b"])] = bound
+                raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not >= 0")
+            gaps[(a, b)] = bound
         return SymbolRegistry(symbols, gaps)
 
     @staticmethod
@@ -707,19 +733,65 @@ class _Lexer:
         return tok
 
 
+# The deepest nesting of terms and types the parser accepts.  Every
+# recursive walker (the parser, typing, evaluation, normalisation, the
+# interpreters and printing) takes at most a few frames a level, so
+# inputs within the limit stay inside Python's default recursion limit.
+MAX_NESTING = 100
+
+
+def _height(node) -> int:
+    """Levels of a term or type tree, λ annotations included, without recursion."""
+    best, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        best = max(best, level)
+        if isinstance(node, Term):
+            kids = children(node) + ((node.ann,) if isinstance(node, Lam) else ())
+        elif isinstance(node, TTensor):
+            kids = (node.left, node.right)
+        elif isinstance(node, TLolli):
+            kids = (node.arg, node.res)
+        else:
+            kids = ()
+        stack.extend((k, level + 1) for k in kids)
+    return best
+
+
 class _Parser:
     def __init__(self, text: str, registry: SymbolRegistry):
         self.lx = _Lexer(text)
         self.registry = registry
+        self.nesting = 0  # parse_term and parse_type calls in progress
+
+    def _enter(self) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"input nests deeper than {MAX_NESTING} levels", self.lx.peek()[2])
+
+    def parse_all(self, parse):
+        """Parse the whole input with ``parse``: no trailing input, no deep trees."""
+        node = parse()
+        kind, text, pos = self.lx.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {text!r}", pos)
+        # Application and tensor chains build trees deeper than the parser's
+        # own nesting.  A tree has at most two nodes per token, so only a
+        # long input needs the walk.
+        if 2 * len(self.lx.tokens) > MAX_NESTING and _height(node) > MAX_NESTING:
+            raise ParseError(f"input nests deeper than {MAX_NESTING} levels", 0)
+        return node
 
     # -- types
 
     def parse_type(self) -> Ty:
-        left = self._parse_tensor_type()
+        self._enter()
+        t = self._parse_tensor_type()
         if self.lx.peek()[0] == "-o":
             self.lx.next()
-            return TLolli(left, self.parse_type())
-        return left
+            t = TLolli(t, self.parse_type())
+        self.nesting -= 1
+        return t
 
     def _parse_tensor_type(self) -> Ty:
         t = self._parse_atom_type()
@@ -743,6 +815,7 @@ class _Parser:
     # -- terms
 
     def parse_term(self) -> Term:
+        self._enter()
         kind, text, pos = self.lx.peek()
         if kind == "\\":
             self.lx.next()
@@ -752,10 +825,13 @@ class _Parser:
             self.lx.expect(":")
             ann = self.parse_type()
             self.lx.expect(".")
-            return Lam(name, ann, self.parse_term())
-        if kind == "ident" and text == "let":
-            return self._parse_let()
-        return self._parse_tensor()
+            t = Lam(name, ann, self.parse_term())
+        elif kind == "ident" and text == "let":
+            t = self._parse_let()
+        else:
+            t = self._parse_tensor()
+        self.nesting -= 1
+        return t
 
     def _parse_let(self) -> Term:
         self.lx.next()  # let
@@ -862,20 +938,12 @@ class _Parser:
 def parse_term(text: str, registry: Optional[SymbolRegistry] = None) -> Term:
     registry = registry if registry is not None else default_registry()
     p = _Parser(text, registry)
-    t = p.parse_term()
-    kind, text_, pos = p.lx.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return t
+    return p.parse_all(p.parse_term)
 
 
 def parse_type(text: str) -> Ty:
     p = _Parser(text, SymbolRegistry())
-    t = p.parse_type()
-    kind, text_, pos = p.lx.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return t
+    return p.parse_all(p.parse_type)
 
 
 def parse_env(text: str) -> Env:

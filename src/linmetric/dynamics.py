@@ -20,12 +20,12 @@ from typing import Optional
 from .core import (
     App,
     Const,
+    EvalError,
     FnApp,
     Hole,
     Lam,
     LetPair,
     LetStar,
-    LinError,
     Pair,
     Star,
     SymbolRegistry,
@@ -37,10 +37,6 @@ from .core import (
     rebuild,
     term_size,
 )
-
-
-class EvalError(LinError):
-    """Evaluation hit a configuration problem (e.g. unregistered symbol)."""
 
 
 _fresh_counter = itertools.count()

@@ -14,6 +14,15 @@ Each term is compiled once into Python closures over a slot-indexed
 environment tuple (variables resolved to tuple indices, symbols to
 their evaluators); the probes then run the compiled code, not the
 syntax tree.
+
+A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
+body that mention neither its variable nor a name bound inside the body
+are evaluated once, when the closure is created, and stored in extra
+environment slots.  In a linear term the bound variable occurs exactly
+once, so everything off the path from the body's root to that
+occurrence is hoisted, and each probe application re-runs only that
+path.  Every evaluator is pure, so the values are those of the plain
+interpretation.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .core import (
     Ty,
     TypeError_,
     Var,
+    children,
     default_registry,
     is_observable,
     is_one_point,
@@ -141,14 +151,18 @@ def interp_den(
 
 
 def _compile(
-    t: Term, slots: dict[str, int], depth: int, registry: SymbolRegistry
+    t: Term, slots: dict, depth: int, registry: SymbolRegistry
 ) -> Callable[[tuple], SemValue]:
     """Translate ``t`` into a closure over an environment tuple.
 
-    ``slots`` maps each name in scope to its index in that tuple and
-    ``depth`` is the tuple's length, so a binder always takes the next
-    index, also when its name shadows one already in ``slots``.
+    ``slots`` maps each name in scope, and the ``id`` of each subterm a
+    λ hoisted, to its index in that tuple; ``depth`` is the tuple's
+    length, so a binder always takes the next index, also when its name
+    shadows one already in ``slots``.
     """
+    if id(t) in slots:
+        i = slots[id(t)]
+        return lambda env: env[i]
     if isinstance(t, Var):
         i = slots[t.name]
         return lambda env: env[i]
@@ -202,8 +216,22 @@ def _compile(
 
         return app
     if isinstance(t, Lam):
-        body = _compile(t.body, {**slots, t.var: depth}, depth + 1, registry)
-        return lambda env: Closure(lambda v: body(env + (v,)))
+        inner = _rebind(slots, t.var)
+        parts = _invariant_parts(t.body, t.var, inner)
+        hoisted = [_compile(s, slots, depth, registry) for s in parts]
+        for s in parts:
+            inner[id(s)] = depth
+            depth += 1
+        inner[t.var] = depth
+        body = _compile(t.body, inner, depth + 1, registry)
+        if not hoisted:
+            return lambda env: Closure(lambda v: body(env + (v,)))
+
+        def lam(env: tuple) -> SemValue:
+            outer = env + tuple([h(env) for h in hoisted])
+            return Closure(lambda v: body(outer + (v,)))
+
+        return lam
     if isinstance(t, Pair):
         left = _compile(t.left, slots, depth, registry)
         right = _compile(t.right, slots, depth, registry)
@@ -220,7 +248,7 @@ def _compile(
         return let_star
     if isinstance(t, LetPair):
         scrutinee = _compile(t.scrutinee, slots, depth, registry)
-        inner = {**slots, t.var1: depth, t.var2: depth + 1}
+        inner = {**_rebind(slots, t.var1, t.var2), t.var1: depth, t.var2: depth + 1}
         body = _compile(t.body, inner, depth + 2, registry)
 
         def let_pair(env: tuple) -> SemValue:
@@ -233,6 +261,49 @@ def _compile(
 
         return let_pair
     raise AssertionError(t)
+
+
+def _rebind(slots: dict, *names: str) -> dict:
+    """A copy of ``slots`` for a scope that binds ``names`` anew.
+
+    A hoisted subterm is keyed by object identity.  If the same object
+    recurs under a binder that rebinds one of its free names, it means
+    something else there, so rebinding a name in scope drops those keys.
+    """
+    if any(n in slots for n in names):
+        return {k: i for k, i in slots.items() if isinstance(k, str)}
+    return dict(slots)
+
+
+def _invariant_parts(body: Term, var: str, slots: dict) -> list[Term]:
+    """The subterms of ``λvar. body`` that every application recomputes.
+
+    These are the maximal subterms of ``body``, other than variables,
+    constants and ``*``, that mention neither ``var`` nor a name bound
+    inside ``body`` above them.  Subterms an enclosing λ already hoisted
+    (their ``id`` is in ``slots``) are left where they are.
+    """
+    out: list[Term] = []
+
+    def walk(t: Term, bound: frozenset) -> set[str]:  # the free names of t
+        if isinstance(t, Var):
+            return {t.name}
+        mark = len(out)
+        if isinstance(t, Lam):
+            names = walk(t.body, bound | {t.var}) - {t.var}
+        elif isinstance(t, LetPair):
+            names = walk(t.scrutinee, bound)
+            names |= walk(t.body, bound | {t.var1, t.var2}) - {t.var1, t.var2}
+        else:
+            names = set().union(*[walk(c, bound) for c in children(t)])
+        if not isinstance(t, (Const, Star)) and not names & bound:
+            del out[mark:]  # t is invariant, so its parts are not maximal
+            if id(t) not in slots:
+                out.append(t)
+        return names
+
+    walk(body, frozenset((var,)))
+    return out
 
 
 def value_to_sem(v: Term, registry: Optional[SymbolRegistry] = None) -> SemValue:
@@ -305,7 +376,7 @@ class ProbeBattery:
         self.max_samples = max_samples
         rng = random.Random(seed)
         self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
-        self._fn_cache: dict[Ty, list[SemValue]] = {}
+        self._cache: dict[Ty, list[SemValue]] = {}
 
     # -- scalar-valued combinators ------------------------------------------
 
@@ -389,23 +460,21 @@ class ProbeBattery:
     # -- samples -------------------------------------------------------------
 
     def samples(self, ty: Ty) -> list[SemValue]:
+        """The samples of ``ty``, built once per type; callers must not mutate them."""
+        if ty not in self._cache:
+            self._cache[ty] = self._build_samples(ty)
+        return self._cache[ty]
+
+    def _build_samples(self, ty: Ty) -> list[SemValue]:
         if isinstance(ty, TReal):
             return [RealVal(a) for a in self.reals[: self.max_samples]]
         if isinstance(ty, TUnit):
             return [UNIT]
         if isinstance(ty, TTensor):
-            ls = self.samples(ty.left)
-            rs = self.samples(ty.right)
-            out = []
-            for i, (a, b) in enumerate(itertools.product(ls, rs)):
-                if i >= self.max_samples:
-                    break
-                out.append(PairVal(a, b))
-            return out
+            pairs = itertools.product(self.samples(ty.left), self.samples(ty.right))
+            return [PairVal(a, b) for a, b in itertools.islice(pairs, self.max_samples)]
         if isinstance(ty, TLolli):
-            if ty not in self._fn_cache:
-                self._fn_cache[ty] = self._function_samples(ty)
-            return self._fn_cache[ty]
+            return self._function_samples(ty)
         raise AssertionError(ty)
 
     def _function_samples(self, ty: TLolli) -> list[SemValue]:

@@ -280,7 +280,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
         split_names = d.splits[0]
         sub_envs = [c.env for c in d.children]
         pos_idx = [_env_pos_indices(env, names) for names in split_names]
-        sym = reg.get(t.symbol)
+        sym = reg.get(t.symbol).evaluator
 
         def step(inputs: tuple) -> tuple:
             neg_pieces: dict[str, tuple] = {}

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from linmetric.cli import main
+from linmetric.core import MAX_NESTING
 
 
 @pytest.fixture
@@ -248,3 +249,56 @@ def test_eval_rejects_a_registry_with_a_nan_value(workdir, capsys):
     assert code == 1
     assert err.startswith("error:") and "not a finite number" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", ["add(1e308, 1e308)", "sin(add(1e308, 1e308))"])
+def test_eval_rejects_a_result_that_is_not_finite(workdir, capsys, text):
+    (workdir / "big.lin").write_text(text)
+    code = main(["eval", str(workdir / "big.lin")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_dist_rejects_a_result_that_is_not_finite(workdir, capsys):
+    (workdir / "big.lin").write_text("add(1e308, 1e308)")
+    (workdir / "one.lin").write_text("add(1e308, 1.0)")
+    code = main(["dist", str(workdir / "big.lin"), str(workdir / "one.lin"), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "not a finite number" in err
+    assert out == ""
+
+
+def test_eval_rejects_a_registry_with_a_malformed_gap(workdir, capsys):
+    (workdir / "gap.json").write_text('{"gaps": [{"a": "c", "b": "d", "bound": "abc"}]}')
+    code = main(["eval", str(workdir / "k2.lin"), "--symbols", str(workdir / "gap.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "not a number" in err
+
+
+def test_eval_rejects_deep_nesting(workdir, capsys):
+    (workdir / "deep.lin").write_text("(" * 3000 + "1.0" + ")" * 3000)
+    code = main(["eval", str(workdir / "deep.lin")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "nests deeper" in err
+    assert out == ""
+
+
+def test_eval_accepts_nesting_just_under_the_limit(workdir, capsys):
+    deep = MAX_NESTING - 1
+    (workdir / "deep.lin").write_text("sin(" * deep + "0.0" + ")" * deep)
+    assert main(["eval", str(workdir / "deep.lin")]) == 0
+    assert capsys.readouterr().out.strip() == "0.0"
+
+
+def test_dist_report_with_a_nan_is_an_internal_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("linmetric.cli.equ_upper_bound", lambda *args: (float("nan"), None))
+    files = [str(workdir / "k2.lin"), str(workdir / "k3.lin")]
+    code = main(["dist", *files, "--env", "k:R -o I", "--metric", "equ"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("internal error:") and out == ""

@@ -7,12 +7,14 @@ from linmetric.core import (
     Const,
     EMPTY_ENV,
     Env,
+    EvalError,
     FnApp,
     HOLE,
     I,
     Lam,
     LetPair,
     LetStar,
+    MAX_NESTING,
     Pair,
     ParseError,
     R,
@@ -334,6 +336,47 @@ def test_parser_number_edges():
 def test_registry_rejects_non_finite_values_and_bad_gaps(config):
     with pytest.raises(RegistryError):
         SymbolRegistry.from_config(config)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"gaps": [{"a": "c", "b": "d", "bound": "abc"}]},
+        {"gaps": [{"a": "c", "bound": 1.0}]},
+        {"symbols": [{"arity": 1, "builtin": "sin"}]},
+    ],
+)
+def test_registry_rejects_malformed_entries(config):
+    with pytest.raises(RegistryError):
+        SymbolRegistry.from_config(config)
+
+
+def test_symbol_call_rejects_results_that_are_not_finite():
+    reg = default_registry()
+    assert reg.get("add")(1.0, 2.0) == 3.0
+    with pytest.raises(EvalError, match="not a finite number"):
+        reg.get("add")(1e308, 1e308)
+    with pytest.raises(EvalError):
+        reg.get("sin")(math.inf)
+
+
+def test_parser_nesting_limit():
+    deep = MAX_NESTING - 1
+    assert parse_term("(" * deep + "1.0" + ")" * deep) == Const(1.0)
+    sins = parse_term("sin(" * deep + "1.0" + ")" * deep)
+    assert print_term(sins).count("sin") == deep
+    for text in (
+        "(" * 3000 + "1.0" + ")" * 3000,
+        "sin(" * (MAX_NESTING + 1) + "1.0" + ")" * (MAX_NESTING + 1),
+        " * ".join(["1.0"] * (MAX_NESTING + 1)),  # a left-nested chain of pairs
+        "k" + " 1.0" * (MAX_NESTING + 1),  # a left-nested chain of applications
+    ):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_term(text)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_type(" (x) ".join(["R"] * (MAX_NESTING + 1)))
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_type("R -o " * 3000 + "R")
 
 
 def test_registry_accepts_an_infinite_gap():

@@ -3,16 +3,23 @@ import math
 import pytest
 
 from linmetric.core import (
+    App,
     Const,
     EMPTY_ENV,
+    FnApp,
     I,
+    Lam,
+    LetPair,
     Pair,
     ModelError,
     R,
     STAR,
+    Symbol,
+    SymbolRegistry,
     TLolli,
     TTensor,
     TypeError_,
+    Var,
     env_of,
     parse_term,
     parse_type,
@@ -71,6 +78,10 @@ def test_interp_matches_eval_on_samples():
         # rebound names: each binder reads its own environment slot
         r"((\x:R. (\x:R. \y:R. add(x, sin(y))) x) 1.0) 2.0",
         r"(\x:R (x) R. let x (x) y = x in add(x, sin(y))) (1.0 * 2.0)",
+        # an inner let rebinds x: sin(x) there reads the let's x, not the λ's
+        r"(\x:R. (\p:R (x) R. let x (x) z = p in add(sin(x), z)) (2.0 * x)) 1.0",
+        # cos(x) does not depend on y and sin(1.0) depends on neither
+        r"(\x:R. \y:R. add(cos(x), add(y, sin(1.0)))) 0.5 2.0",
     ]
     for text in cases:
         m = parse_term(text)
@@ -78,6 +89,33 @@ def test_interp_matches_eval_on_samples():
         got = interp_den(EMPTY_ENV, m)(())
         want = value_to_sem(evaluate(m))
         assert sem_equal(got, want), text
+
+
+def test_lambda_runs_the_work_free_of_its_variable_once():
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return a
+
+    reg = SymbolRegistry([Symbol("add", 2, lambda a, b: a + b), Symbol("f", 1, f)])
+    m = parse_term(r"\y:R. add(f(v0), y)", reg)
+    fun = interp_den(env_of(("v0", R)), m, reg)((RealVal(3.0),))
+    outs = [fun(RealVal(float(i))) for i in range(32)]
+    assert calls == [3.0]
+    assert outs == [RealVal(3.0 + i) for i in range(32)]
+
+
+def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
+    # the same sin(x) object occurs free of y, and under a let that rebinds x
+    s = FnApp("sin", (Var("x"),))
+    inner = LetPair("x", "z", Var("p"), FnApp("add", (s, Var("z"))))
+    body = FnApp("add", (FnApp("add", (s, Var("y"))), inner))
+    fun = Lam("x", R, Lam("p", TTensor(R, R), Lam("y", R, body)))
+    m = App(App(App(fun, Const(1.0)), Pair(Const(2.0), Const(3.0))), Const(4.0))
+    got = interp_den(EMPTY_ENV, m)(())
+    assert got == RealVal(math.sin(1.0) + 4.0 + (math.sin(2.0) + 3.0))
+    assert sem_equal(got, value_to_sem(evaluate(m)))
 
 
 # -- ground metric -------------------------------------------------------------
@@ -118,6 +156,11 @@ def test_battery_deterministic():
     x = RealVal(0.75)
     for f1, f2 in zip(b1.samples(t), b2.samples(t)):
         assert sem_equal(f1(x), f2(x))
+
+
+def test_battery_builds_the_samples_of_each_type_once():
+    for ty in (R, I, TTensor(R, I), parse_type("R -o R")):
+        assert BATTERY.samples(ty) is BATTERY.samples(ty)
 
 
 def test_battery_functions_nonexpansive():
