@@ -203,18 +203,15 @@ def _check_decompose(args) -> tuple[int, str]:
     registry = gen.corpus_registry()
     rng = random.Random(args.seed)
     corpus = gen.beta_normal_corpus(args.seed, args.count, registry=registry)
-    from .semden import UNIT
-    from .semint import compile_int_term
-
-    def slot(name: str) -> int:  # input wire x<i> is the (i-1)-th probe value
-        return int(name[1:]) - 1
+    from .semden import UNIT, compile_term
 
     failures = 0
     for env, ty, term in corpus:
         hs, _ = decompose(env, term, registry)
-        codes = [compile_int_term(h, slot, registry) for h in hs]
         wf = interp_int(env, term, registry)
         sig = wire_signature(env, ty)
+        slots = {f"x{i + 1}": i for i in range(sig.m)}  # wire x<i> is probe value i-1
+        codes = [compile_term(h, slots, sig.m, registry) for h in hs]
         for _ in range(50):
             ins = tuple(UNIT if t == "I" else rng.uniform(-20, 20) for t in sig.in_types)
             got = wf(ins)
@@ -318,7 +315,7 @@ def main(argv=None) -> int:
     except ModelError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return INTERNAL_ERROR
-    except (LinError, OSError, json.JSONDecodeError) as e:
+    except (LinError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USER_ERROR
 

@@ -434,11 +434,31 @@ def _make_evaluator(kind: str, value: Optional[float]) -> tuple[int, Callable[..
     raise RegistryError(f"unknown builtin kind {kind!r}")
 
 
-def _field(entry, key: str):
+def _entries(config: dict, key: str) -> list[dict]:
+    entries = config.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise RegistryError(f"registry {key!r} must be a list of objects")
+    return entries
+
+
+def _field(entry: dict, key: str, kind: type = str):
+    """``entry[key]``, which must be present and of type ``kind``."""
+    if key not in entry:
+        raise RegistryError(f"registry entry {entry!r} has no {key!r}")
+    if not isinstance(entry[key], kind):
+        raise RegistryError(f"registry entry {entry!r}: {key!r} must be a {kind.__name__}")
+    return entry[key]
+
+
+def _finite(x) -> Optional[float]:
+    """``x`` as a float if it is a finite JSON number, else None."""
+    if not isinstance(x, (int, float)):
+        return None
     try:
-        return entry[key]
-    except (KeyError, TypeError):
-        raise RegistryError(f"registry entry {entry!r} has no {key!r}") from None
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -514,25 +534,28 @@ class SymbolRegistry:
 
     @staticmethod
     def from_config(config: dict) -> "SymbolRegistry":
+        if not isinstance(config, dict):
+            raise RegistryError("a registry must be a JSON object")
         symbols = []
-        for entry in config.get("symbols", []):
+        for entry in _entries(config, "symbols"):
             name = _field(entry, "name")
-            kind, value = entry.get("builtin"), entry.get("value")
+            kind, raw = entry.get("builtin"), entry.get("value")
             if kind not in BUILTIN_KINDS:
                 raise RegistryError(f"symbol {name!r}: unknown builtin kind {kind!r}")
-            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise RegistryError(f"symbol {name!r}: value {value!r} is not a finite number")
+            value = None if raw is None else _finite(raw)
+            if raw is not None and value is None:
+                raise RegistryError(f"symbol {name!r}: value {raw!r} is not a finite number")
             arity, fn = _make_evaluator(kind, value)
             declared = entry.get("arity", arity)
             if declared != arity:
                 raise RegistryError(f"symbol {name!r}: builtin {kind!r} has arity {arity}, not {declared}")
             symbols.append(Symbol(name, arity, fn))
         gaps = {}
-        for entry in config.get("gaps", []):
-            a, b, bound = _field(entry, "a"), _field(entry, "b"), _field(entry, "bound")
+        for entry in _entries(config, "gaps"):
+            a, b, bound = _field(entry, "a"), _field(entry, "b"), _field(entry, "bound", object)
             try:
                 bound = float(bound)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not a number") from None
             if not bound >= 0.0:  # also rejects NaN
                 raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not >= 0")
@@ -542,7 +565,11 @@ class SymbolRegistry:
     @staticmethod
     def from_file(path: str) -> "SymbolRegistry":
         with open(path, "r", encoding="utf-8") as fh:
-            return SymbolRegistry.from_config(json.load(fh))
+            try:
+                config = json.load(fh)
+            except RecursionError:
+                raise RegistryError(f"{path}: JSON nests too deeply") from None
+        return SymbolRegistry.from_config(config)
 
 
 def default_registry() -> SymbolRegistry:

@@ -285,8 +285,14 @@ def _eta_contract(t: Term) -> Term:
     return t
 
 
-def _fold_literals(t: Term, registry: SymbolRegistry) -> Term:
-    kids = [_fold_literals(c, registry) for c in children(t)]
+def fold_literals(t: Term, registry: SymbolRegistry) -> Term:
+    """Evaluate symbol applications on all-literal arguments.
+
+    Denotation-preserving, so distances over folded terms equal
+    distances over the originals; folding aligns skeletons that differ
+    only in evaluated sub-expressions.
+    """
+    kids = [fold_literals(c, registry) for c in children(t)]
     if kids:
         t = rebuild(t, kids)
     if isinstance(t, FnApp) and all(isinstance(a, Const) for a in t.args):
@@ -419,7 +425,7 @@ def eq_canonical(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
         t2 = _hoist_lets(t)
         t2 = _sort_lets(t2)
         t2 = _eta_contract(t2)
-        t2 = _fold_literals(t2, registry)
+        t2 = fold_literals(t2, registry)
         t2 = beta_normalize(t2)
         if t2 == t:
             break

@@ -10,10 +10,13 @@ the distance engine reports sound enclosures: lower bounds obtained by
 probing with a deterministic battery of sample points, upper bounds
 supplied by the caller (typically from an equational certificate).
 
-Each term is compiled once into Python closures over a slot-indexed
-environment tuple (variables resolved to tuple indices, symbols to
-their evaluators); the probes then run the compiled code, not the
-syntax tree.
+A real denotes itself, a plain number; bottom, the unit, pairs and
+closures are ``SemValue``s.  Each term is compiled once, by
+``compile_term``, into Python closures over a slot-indexed environment
+tuple (variables resolved to tuple indices, symbols to their
+evaluators); the probes then run the compiled code, not the syntax
+tree.  The interactive engine compiles its wire terms with the same
+function.
 
 A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
 body that mention neither its variable nor a name bound inside the body
@@ -87,36 +90,32 @@ class _Unit(SemValue):
 
 BOTTOM = _Bottom()
 UNIT = _Unit()
-
-
-@dataclass(frozen=True)
-class RealVal(SemValue):
-    value: float
+Value = float | SemValue  # a real is a plain number
 
 
 @dataclass(frozen=True)
 class PairVal(SemValue):
-    left: SemValue
-    right: SemValue
+    left: Value
+    right: Value
 
 
 @dataclass(frozen=True)
 class Closure(SemValue):
     """A non-expansive function packaged as a python callable."""
 
-    fn: Callable[[SemValue], SemValue]
+    fn: Callable[[Value], Value]
 
-    def __call__(self, arg: SemValue) -> SemValue:
+    def __call__(self, arg: Value) -> Value:
         return self.fn(arg)
 
 
-SemEnvPoint = tuple  # tuple of SemValue, one per environment binding
+SemEnvPoint = tuple  # tuple of values, one per environment binding
 
 
-def sem_equal(a: SemValue, b: SemValue) -> bool:
+def sem_equal(a: Value, b: Value) -> bool:
     """Exact equality on first-order fragments; closures by identity."""
-    if isinstance(a, RealVal) and isinstance(b, RealVal):
-        return a.value == b.value
+    if not isinstance(a, SemValue) and not isinstance(b, SemValue):
+        return a == b
     if a is BOTTOM or b is BOTTOM:
         return a is b
     if a is UNIT or b is UNIT:
@@ -132,7 +131,7 @@ def sem_equal(a: SemValue, b: SemValue) -> bool:
 
 def interp_den(
     env: Env, term: Term, registry: Optional[SymbolRegistry] = None
-) -> Callable[[SemEnvPoint], SemValue]:
+) -> Callable[[SemEnvPoint], Value]:
     """Compositional interpretation of ``env |- term`` as a function.
 
     The term is compiled once; the returned function runs the compiled
@@ -140,9 +139,9 @@ def interp_den(
     """
     registry = registry if registry is not None else default_registry()
     names = env.names()
-    code = _compile(term, {name: i for i, name in enumerate(names)}, len(names), registry)
+    code = compile_term(term, {name: i for i, name in enumerate(names)}, len(names), registry)
 
-    def run(point: SemEnvPoint) -> SemValue:
+    def run(point: SemEnvPoint) -> Value:
         if len(point) != len(names):
             raise TypeError_(f"environment point has arity {len(point)}, expected {len(names)}")
         return code(tuple(point))
@@ -150,63 +149,58 @@ def interp_den(
     return run
 
 
-def _compile(
+def compile_term(
     t: Term, slots: dict, depth: int, registry: SymbolRegistry
-) -> Callable[[tuple], SemValue]:
+) -> Callable[[tuple], Value]:
     """Translate ``t`` into a closure over an environment tuple.
 
     ``slots`` maps each name in scope, and the ``id`` of each subterm a
     λ hoisted, to its index in that tuple; ``depth`` is the tuple's
     length, so a binder always takes the next index, also when its name
-    shadows one already in ``slots``.
+    shadows one already in ``slots``.  Both engines compile with it: a
+    wire term is a term over the wire variables.
     """
-    if id(t) in slots:
-        i = slots[id(t)]
-        return lambda env: env[i]
     if isinstance(t, Var):
         i = slots[t.name]
         return lambda env: env[i]
     if isinstance(t, Const):
-        value = RealVal(t.value)
+        value = t.value
         return lambda env: value
     if isinstance(t, Star):
         return lambda env: UNIT
+    if id(t) in slots:  # hoisted parts are never leaves
+        i = slots[id(t)]
+        return lambda env: env[i]
     if isinstance(t, FnApp):
         f = registry.get(t.symbol).evaluator
-        args = [_compile(a, slots, depth, registry) for a in t.args]
+        args = [compile_term(a, slots, depth, registry) for a in t.args]
         if len(args) == 1:
             (arg,) = args
 
-            def unary(env: tuple) -> SemValue:
+            def unary(env: tuple) -> Value:
                 a = arg(env)
-                if not isinstance(a, RealVal):
-                    return BOTTOM  # strict: bottom in, bottom out
-                return RealVal(f(a.value))
+                return BOTTOM if a is BOTTOM else f(a)  # strict: bottom in, bottom out
 
             return unary
         if len(args) == 2:
             left, right = args
 
-            def binary(env: tuple) -> SemValue:
+            def binary(env: tuple) -> Value:
                 a, b = left(env), right(env)
-                if not isinstance(a, RealVal) or not isinstance(b, RealVal):
-                    return BOTTOM
-                return RealVal(f(a.value, b.value))
+                return BOTTOM if a is BOTTOM or b is BOTTOM else f(a, b)
 
             return binary
 
-        def nary(env: tuple) -> SemValue:
+        def nary(env: tuple) -> Value:
             vals = [a(env) for a in args]
-            if any(not isinstance(a, RealVal) for a in vals):
-                return BOTTOM
-            return RealVal(f(*[a.value for a in vals]))
+            return BOTTOM if any(a is BOTTOM for a in vals) else f(*vals)
 
         return nary
     if isinstance(t, App):
-        fn = _compile(t.fn, slots, depth, registry)
-        arg = _compile(t.arg, slots, depth, registry)
+        fn = compile_term(t.fn, slots, depth, registry)
+        arg = compile_term(t.arg, slots, depth, registry)
 
-        def app(env: tuple) -> SemValue:
+        def app(env: tuple) -> Value:
             f, a = fn(env), arg(env)
             if not isinstance(f, Closure):
                 if f is BOTTOM:
@@ -218,40 +212,40 @@ def _compile(
     if isinstance(t, Lam):
         inner = _rebind(slots, t.var)
         parts = _invariant_parts(t.body, t.var, inner)
-        hoisted = [_compile(s, slots, depth, registry) for s in parts]
+        hoisted = [compile_term(s, slots, depth, registry) for s in parts]
         for s in parts:
             inner[id(s)] = depth
             depth += 1
         inner[t.var] = depth
-        body = _compile(t.body, inner, depth + 1, registry)
+        body = compile_term(t.body, inner, depth + 1, registry)
         if not hoisted:
             return lambda env: Closure(lambda v: body(env + (v,)))
 
-        def lam(env: tuple) -> SemValue:
+        def lam(env: tuple) -> Value:
             outer = env + tuple([h(env) for h in hoisted])
             return Closure(lambda v: body(outer + (v,)))
 
         return lam
     if isinstance(t, Pair):
-        left = _compile(t.left, slots, depth, registry)
-        right = _compile(t.right, slots, depth, registry)
+        left = compile_term(t.left, slots, depth, registry)
+        right = compile_term(t.right, slots, depth, registry)
         return lambda env: PairVal(left(env), right(env))
     if isinstance(t, LetStar):
-        scrutinee = _compile(t.scrutinee, slots, depth, registry)
-        body = _compile(t.body, slots, depth, registry)
+        scrutinee = compile_term(t.scrutinee, slots, depth, registry)
+        body = compile_term(t.body, slots, depth, registry)
 
-        def let_star(env: tuple) -> SemValue:
+        def let_star(env: tuple) -> Value:
             if scrutinee(env) is BOTTOM:
                 return BOTTOM
             return body(env)
 
         return let_star
     if isinstance(t, LetPair):
-        scrutinee = _compile(t.scrutinee, slots, depth, registry)
+        scrutinee = compile_term(t.scrutinee, slots, depth, registry)
         inner = {**_rebind(slots, t.var1, t.var2), t.var1: depth, t.var2: depth + 1}
-        body = _compile(t.body, inner, depth + 2, registry)
+        body = compile_term(t.body, inner, depth + 2, registry)
 
-        def let_pair(env: tuple) -> SemValue:
+        def let_pair(env: tuple) -> Value:
             s = scrutinee(env)
             if s is BOTTOM:
                 return BOTTOM
@@ -306,10 +300,10 @@ def _invariant_parts(body: Term, var: str, slots: dict) -> list[Term]:
     return out
 
 
-def value_to_sem(v: Term, registry: Optional[SymbolRegistry] = None) -> SemValue:
+def value_to_sem(v: Term, registry: Optional[SymbolRegistry] = None) -> Value:
     """Denotation of a closed value."""
     registry = registry if registry is not None else default_registry()
-    return _compile(v, {}, 0, registry)(())
+    return compile_term(v, {}, 0, registry)(())
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +327,12 @@ def ground_l1(v: Term, u: Term, ty: Ty) -> float:
     raise TypeError_(f"type {ty!r} is not observable")
 
 
-def sem_l1(a: SemValue, b: SemValue, ty: Ty) -> float:
+def sem_l1(a: Value, b: Value, ty: Ty) -> float:
     """Exact distance between denotations at an observable type."""
     if a is BOTTOM or b is BOTTOM:
         return 0.0 if (a is BOTTOM and b is BOTTOM) else INF
     if isinstance(ty, TReal):
-        return abs(a.value - b.value)  # type: ignore[union-attr]
+        return abs(a - b)  # type: ignore[operator]
     if isinstance(ty, TUnit):
         return 0.0
     if isinstance(ty, TTensor):
@@ -376,21 +370,21 @@ class ProbeBattery:
         self.max_samples = max_samples
         rng = random.Random(seed)
         self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
-        self._cache: dict[Ty, list[SemValue]] = {}
+        self._cache: dict[Ty, list[Value]] = {}
 
     # -- scalar-valued combinators ------------------------------------------
 
-    def _real_probes(self, src: Ty, depth: int) -> list[Callable[[SemValue], SemValue]]:
+    def _real_probes(self, src: Ty, depth: int) -> list[Callable[[Value], Value]]:
         """Non-expansive maps src -> R, as python callables."""
         reg = self.registry
         unary = reg.names_of_arity(1)
         binary = reg.names_of_arity(2)
 
-        def lift_real(g: Callable[[float], float]) -> Callable[[SemValue], SemValue]:
-            def f(v: SemValue) -> SemValue:
+        def lift_real(g: Callable[[float], float]) -> Callable[[Value], Value]:
+            def f(v: Value) -> Value:
                 if v is BOTTOM:
                     return BOTTOM
-                return RealVal(g(v.value))  # type: ignore[union-attr]
+                return g(v)
 
             return f
 
@@ -406,13 +400,11 @@ class ProbeBattery:
                 for g in list(base):
                     for n in unary:
                         out.append(
-                            lift_real(
-                                lambda a, _g=g, _f=reg.get(n).evaluator: _f(_g(RealVal(a)).value)
-                            )
+                            lift_real(lambda a, _g=g, _f=reg.get(n).evaluator: _f(_g(a)))
                         )
             return out
         if isinstance(src, TUnit):
-            return [lambda v, _c=c: RealVal(_c) for c in (0.0, 1.0)]
+            return [lambda v, _c=c: _c for c in (0.0, 1.0)]
         if isinstance(src, TTensor):
             lefts = self._real_probes(src.left, depth - 1) or []
             rights = self._real_probes(src.right, depth - 1) or []
@@ -435,7 +427,7 @@ class ProbeBattery:
                             a, b = _hl(v.left), _hr(v.right)
                             if a is BOTTOM or b is BOTTOM:
                                 return BOTTOM
-                            return RealVal(_f(a.value, b.value))
+                            return _f(a, b)
 
                         out.append(combined)
             return out
@@ -459,15 +451,15 @@ class ProbeBattery:
 
     # -- samples -------------------------------------------------------------
 
-    def samples(self, ty: Ty) -> list[SemValue]:
+    def samples(self, ty: Ty) -> list[Value]:
         """The samples of ``ty``, built once per type; callers must not mutate them."""
         if ty not in self._cache:
             self._cache[ty] = self._build_samples(ty)
         return self._cache[ty]
 
-    def _build_samples(self, ty: Ty) -> list[SemValue]:
+    def _build_samples(self, ty: Ty) -> list[Value]:
         if isinstance(ty, TReal):
-            return [RealVal(a) for a in self.reals[: self.max_samples]]
+            return self.reals[: self.max_samples]
         if isinstance(ty, TUnit):
             return [UNIT]
         if isinstance(ty, TTensor):
@@ -477,8 +469,8 @@ class ProbeBattery:
             return self._function_samples(ty)
         raise AssertionError(ty)
 
-    def _function_samples(self, ty: TLolli) -> list[SemValue]:
-        out: list[SemValue] = []
+    def _function_samples(self, ty: TLolli) -> list[Value]:
+        out: list[Value] = []
         # constant maps: always non-expansive
         for v in self.samples(ty.res)[:6]:
             out.append(Closure(lambda _x, _v=v: _v))
@@ -488,11 +480,11 @@ class ProbeBattery:
             rng = random.Random(self.seed ^ zlib.crc32(repr(ty).encode()))
             while len(out) < self.max_samples:
                 c = rng.uniform(-100.0, 100.0)
-                out.append(Closure(lambda _x, _c=c: RealVal(_c)))
+                out.append(Closure(lambda _x, _c=c: _c))
         return out[: self.max_samples]
 
-    def _structured_functions(self, ty: TLolli) -> list[SemValue]:
-        out: list[SemValue] = []
+    def _structured_functions(self, ty: TLolli) -> list[Value]:
+        out: list[Value] = []
         # active maps, shaped by the result type
         if isinstance(ty.res, TReal):
             for h in self._real_probes(ty.arg, FN_DEPTH):
@@ -527,7 +519,7 @@ class ProbeBattery:
                                     gy = _g(y)
                                     if _hx is BOTTOM or gy is BOTTOM:
                                         return BOTTOM
-                                    return RealVal(_f(_hx.value, gy.value))
+                                    return _f(_hx, gy)
 
                                 return Closure(stage)
 
@@ -559,7 +551,7 @@ class LoWitness:
 
 
 def value_dist_lower(
-    a: SemValue, b: SemValue, ty: Ty, battery: ProbeBattery, depth: int
+    a: Value, b: Value, ty: Ty, battery: ProbeBattery, depth: int
 ) -> tuple[float, tuple]:
     """Lower bound on the hom distance between two denotations, with path."""
     if is_observable(ty):

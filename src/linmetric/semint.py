@@ -11,12 +11,19 @@ Composition (application, pair destruction) feeds wires back through a
 least-fixpoint trace over the flat wire domains, so every feedback loop
 converges in at most ``width + 1`` rounds.
 
+A strategy is built once per typing derivation: ``_routes`` works out
+which input wires each premise reads and where the premises'
+environment outputs go, so a step only indexes tuples.
+
 For a beta-normal term the whole strategy is equivalent to a tuple of
 first-order terms, one per output wire, over variables naming the input
-wires.  ``decompose`` computes them symbolically; ``int_distance`` sums
-per-wire distances between two such decompositions.  Each wire term is
-compiled once into a Python closure over a tuple of wire values, which
-the distance search then runs at every probe.
+wires.  ``decompose`` computes them symbolically, with the same routing
+but its own account of each rule's feedback and cut wires;
+``int_distance`` sums per-wire distances between two such
+decompositions.  A wire value is a plain number (R) or ``BOTTOM``, or
+``UNIT`` (I), as in the denotational model, and each wire term is
+compiled once by ``semden.compile_term`` into a closure that the
+distance search runs at every probe.
 """
 
 from __future__ import annotations
@@ -51,22 +58,16 @@ from .core import (
     default_registry,
     derive,
     fmt_real,
+    free_vars as int_term_vars,
     neg_atoms,
     pos_atoms,
 )
-from .dynamics import beta_normalize, is_beta_normal
-from .semden import BOTTOM, UNIT, ProbeBattery
+from .dynamics import beta_normalize, fold_literals as fold_int_term, is_beta_normal
+from .semden import BOTTOM, UNIT, ProbeBattery, compile_term
 
 
 # ---------------------------------------------------------------------------
 # Wire bookkeeping
-
-
-def env_neg_atoms(env: Env) -> tuple[str, ...]:
-    out: tuple[str, ...] = ()
-    for _, t in env:
-        out += neg_atoms(t)
-    return out
 
 
 def _block_labels(name: str, atoms: tuple[str, ...]) -> list[str]:
@@ -220,37 +221,29 @@ def interp_int(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) 
     return _interp(d, registry)
 
 
-def _env_pos_indices(env: Env, names: tuple[str, ...]) -> list[int]:
-    """Input positions of the pos atoms of the named subsequence."""
-    picked = set(names)
-    idx, out = 0, []
-    for name, t in env:
-        k = len(pos_atoms(t))
-        if name in picked:
-            out.extend(range(idx, idx + k))
-        idx += k
-    return out
+def _routes(d: Derivation) -> tuple[list[list[int]], list[int], list[int]]:
+    """Environment-wire routing of a node with premises.
 
-
-def _env_neg_layout(env: Env) -> dict[str, tuple[int, int]]:
-    idx, out = 0, {}
-    for name, t in env:
-        k = len(neg_atoms(t))
-        out[name] = (idx, idx + k)
-        idx += k
-    return out
-
-
-def _assemble_neg(env: Env, pieces: dict[str, tuple]) -> tuple:
-    out: tuple = ()
-    for name, _t in env:
-        out += pieces[name]
-    return out
-
-
-def _split_neg_by_env(env: Env, values: tuple) -> dict[str, tuple]:
-    layout = _env_neg_layout(env)
-    return {name: values[a:b] for name, (a, b) in layout.items()}
+    Per premise (in the order of ``d.splits[0]``): the positions of its
+    environment's positive atoms among the node's inputs, and the number
+    of its environment's negative atoms, which lead its outputs.  Then
+    the gather list: output ``j`` of the node's environment negative
+    block is element ``gather[j]`` of the premises' environment negative
+    outputs laid end to end.
+    """
+    owner = {name: k for k, names in enumerate(d.splits[0]) for name in names}
+    pos: list[list[int]] = [[] for _ in d.splits[0]]
+    neg: list[list[int]] = [[] for _ in d.splits[0]]
+    i = j = 0
+    for name, t in d.env:
+        p, n = len(pos_atoms(t)), len(neg_atoms(t))
+        pos[owner[name]].extend(range(i, i + p))
+        neg[owner[name]].extend(range(j, j + n))
+        i, j = i + p, j + n
+    gather = [0] * j
+    for c, out in enumerate(out for block in neg for out in block):
+        gather[out] = c
+    return pos, [len(block) for block in neg], gather
 
 
 def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
@@ -277,44 +270,37 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 
     if isinstance(t, FnApp):
         subs = [_interp(c, reg) for c in d.children]
-        split_names = d.splits[0]
-        sub_envs = [c.env for c in d.children]
-        pos_idx = [_env_pos_indices(env, names) for names in split_names]
+        pos_idx, _, gather = _routes(d)
         sym = reg.get(t.symbol).evaluator
 
         def step(inputs: tuple) -> tuple:
-            neg_pieces: dict[str, tuple] = {}
+            negs: tuple = ()
             results = []
-            for wf, idxs, senv in zip(subs, pos_idx, sub_envs):
+            for wf, idxs in zip(subs, pos_idx):
                 out = wf(tuple(inputs[i] for i in idxs))
-                neg_pieces.update(_split_neg_by_env(senv, out[:-1]))
+                negs += out[:-1]
                 results.append(out[-1])
             if any(r is BOTTOM for r in results):
                 r = BOTTOM
             else:
                 r = sym(*results)
-            return _assemble_neg(env, neg_pieces) + (r,)
+            return tuple(negs[i] for i in gather) + (r,)
 
         return WireFunction(sig.in_types, sig.out_types, step)
 
     if isinstance(t, Pair):
         dl, dr = d.children
         wl, wr = _interp(dl, reg), _interp(dr, reg)
-        li = _env_pos_indices(env, d.splits[0][0])
-        ri = _env_pos_indices(env, d.splits[0][1])
+        (li, ri), (kl, kr), gather = _routes(d)
         nl = len(neg_atoms(dl.ty))
         nr = len(neg_atoms(dr.ty))
 
         def step(inputs: tuple) -> tuple:
-            envin = inputs[: len(inputs) - nl - nr]
             ret_neg = inputs[len(inputs) - nl - nr:]
-            out_l = wl(tuple(envin[i] for i in li) + ret_neg[:nl])
-            out_r = wr(tuple(envin[i] for i in ri) + ret_neg[nl:])
-            kl = len(env_neg_atoms(dl.env))
-            kr = len(env_neg_atoms(dr.env))
-            pieces = _split_neg_by_env(dl.env, out_l[:kl])
-            pieces.update(_split_neg_by_env(dr.env, out_r[:kr]))
-            return _assemble_neg(env, pieces) + out_l[kl:] + out_r[kr:]
+            out_l = wl(tuple(inputs[i] for i in li) + ret_neg[:nl])
+            out_r = wr(tuple(inputs[i] for i in ri) + ret_neg[nl:])
+            negs = out_l[:kl] + out_r[:kr]
+            return tuple(negs[i] for i in gather) + out_l[kl:] + out_r[kr:]
 
         return WireFunction(sig.in_types, sig.out_types, step)
 
@@ -325,17 +311,13 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
         sigma = df.ty.arg
         sp = pos_atoms(sigma)
         sn = neg_atoms(sigma)
-        fi = _env_pos_indices(env, d.splits[0][0])
-        ai = _env_pos_indices(env, d.splits[0][1])
+        (fi, ai), (kf, ka), gather = _routes(d)
         ret_neg_len = len(neg_atoms(ty))
-        kf = len(env_neg_atoms(df.env))
-        ka = len(env_neg_atoms(da.env))
 
         def step(inputs: tuple) -> tuple:
-            envin = inputs[: len(inputs) - ret_neg_len]
             t_neg = inputs[len(inputs) - ret_neg_len:]
-            f_in = tuple(envin[i] for i in fi)
-            a_in = tuple(envin[i] for i in ai)
+            f_in = tuple(inputs[i] for i in fi)
+            a_in = tuple(inputs[i] for i in ai)
             state = {}
 
             def advance(z: tuple) -> tuple:
@@ -347,9 +329,8 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 
             _iterate_feedback(advance, tuple(sp) + tuple(sn))
             out_f, out_a = state["f"], state["a"]
-            pieces = _split_neg_by_env(df.env, out_f[:kf])
-            pieces.update(_split_neg_by_env(da.env, out_a[:ka]))
-            return _assemble_neg(env, pieces) + out_f[kf + len(sn):]
+            negs = out_f[:kf] + out_a[:ka]
+            return tuple(negs[i] for i in gather) + out_f[kf + len(sn):]
 
         return WireFunction(
             sig.in_types, sig.out_types, step, feedback_width=len(sp) + len(sn)
@@ -358,20 +339,15 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
     if isinstance(t, LetStar):
         ds, db = d.children
         ws, wb = _interp(ds, reg), _interp(db, reg)
-        si = _env_pos_indices(env, d.splits[0][0])
-        bi = _env_pos_indices(env, d.splits[0][1])
+        (si, bi), (ks, kb), gather = _routes(d)
         ret_neg_len = len(neg_atoms(ty))
-        ks = len(env_neg_atoms(ds.env))
 
         def step(inputs: tuple) -> tuple:
-            envin = inputs[: len(inputs) - ret_neg_len]
             t_neg = inputs[len(inputs) - ret_neg_len:]
-            out_s = ws(tuple(envin[i] for i in si))
-            out_b = wb(tuple(envin[i] for i in bi) + t_neg)
-            kb = len(env_neg_atoms(db.env))
-            pieces = _split_neg_by_env(ds.env, out_s[:ks])
-            pieces.update(_split_neg_by_env(db.env, out_b[:kb]))
-            return _assemble_neg(env, pieces) + out_b[kb:]
+            out_s = ws(tuple(inputs[i] for i in si))
+            out_b = wb(tuple(inputs[i] for i in bi) + t_neg)
+            negs = out_s[:ks] + out_b[:kb]
+            return tuple(negs[i] for i in gather) + out_b[kb:]
 
         return WireFunction(sig.in_types, sig.out_types, step)
 
@@ -381,18 +357,15 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
         assert isinstance(ds.ty, TTensor)
         sp = pos_atoms(ds.ty)
         sn = neg_atoms(ds.ty)
-        si = _env_pos_indices(env, d.splits[0][0])
-        bi = _env_pos_indices(env, d.splits[0][1])
+        # body env is (Δ', x:σ1, y:σ2); kb counts Δ' only, and the cut
+        # wires of x, y follow Δ' on both sides of the body
+        (si, bi), (ks, kb), gather = _routes(d)
         ret_neg_len = len(neg_atoms(ty))
-        ks = len(env_neg_atoms(ds.env))
-        # body env is (Δ', x:σ1, y:σ2); its trailing pos atoms are the cut
-        kb = len(env_neg_atoms(db.env)) - len(sn)
 
         def step(inputs: tuple) -> tuple:
-            envin = inputs[: len(inputs) - ret_neg_len]
             t_neg = inputs[len(inputs) - ret_neg_len:]
-            s_in = tuple(envin[i] for i in si)
-            b_in = tuple(envin[i] for i in bi)
+            s_in = tuple(inputs[i] for i in si)
+            b_in = tuple(inputs[i] for i in bi)
             state = {}
 
             def advance(z: tuple) -> tuple:
@@ -404,10 +377,8 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 
             _iterate_feedback(advance, tuple(sp) + tuple(sn))
             out_s, out_b = state["s"], state["b"]
-            pieces = _split_neg_by_env(ds.env, out_s[:ks])
-            body_outer_env = Env(db.env.bindings[:-2])
-            pieces.update(_split_neg_by_env(body_outer_env, out_b[:kb]))
-            return _assemble_neg(env, pieces) + out_b[kb + len(sn):]
+            negs = out_s[:ks] + out_b[:kb]
+            return tuple(negs[i] for i in gather) + out_b[kb + len(sn):]
 
         return WireFunction(
             sig.in_types, sig.out_types, step, feedback_width=len(sp) + len(sn)
@@ -420,17 +391,6 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 # Wire decomposition of beta-normal terms
 
 IntTerm = Term  # restricted to Var/Const/Star/FnApp over wire variables
-
-
-def int_term_vars(h: IntTerm) -> set[str]:
-    if isinstance(h, Var):
-        return {h.name}
-    if isinstance(h, FnApp):
-        out: set[str] = set()
-        for a in h.args:
-            out |= int_term_vars(a)
-        return out
-    return set()
 
 
 class _Decomposer:
@@ -462,7 +422,7 @@ class _Decomposer:
     # Each case maps symbolic input wires to symbolic output wires,
     # mirroring the executable interpretation above.
     def go(self, d: Derivation, inputs: list[IntTerm]) -> list[IntTerm]:
-        t, env, ty = d.term, d.env, d.ty
+        t, ty = d.term, d.ty
 
         if isinstance(t, Var):
             p = len(pos_atoms(ty))
@@ -474,115 +434,63 @@ class _Decomposer:
         if isinstance(t, Lam):
             return self.go(d.children[0], inputs)
         if isinstance(t, FnApp):
-            pos_idx = [_env_pos_indices(env, names) for names in d.splits[0]]
-            neg_pieces: dict[str, list[IntTerm]] = {}
+            pos_idx, _, gather = _routes(d)
+            negs: list[IntTerm] = []
             heads = []
             for child, idxs in zip(d.children, pos_idx):
                 out = self.go(child, [inputs[i] for i in idxs])
-                for name, (a, b) in _env_neg_layout(child.env).items():
-                    neg_pieces[name] = out[a:b]
+                negs += out[:-1]
                 heads.append(out[-1])
-            merged: list[IntTerm] = []
-            for name, _ in env:
-                merged += neg_pieces[name]
-            return merged + [FnApp(t.symbol, tuple(heads))]
+            return [negs[i] for i in gather] + [FnApp(t.symbol, tuple(heads))]
         if isinstance(t, Pair):
             dl, dr = d.children
-            li = _env_pos_indices(env, d.splits[0][0])
-            ri = _env_pos_indices(env, d.splits[0][1])
+            (li, ri), (kl, kr), gather = _routes(d)
             nl = len(neg_atoms(dl.ty))
             nr = len(neg_atoms(dr.ty))
-            envin = inputs[: len(inputs) - nl - nr]
             ret_neg = inputs[len(inputs) - nl - nr:]
-            out_l = self.go(dl, [envin[i] for i in li] + ret_neg[:nl])
-            out_r = self.go(dr, [envin[i] for i in ri] + ret_neg[nl:])
-            kl = len(env_neg_atoms(dl.env))
-            kr = len(env_neg_atoms(dr.env))
-            pieces = {}
-            for name, (a, b) in _env_neg_layout(dl.env).items():
-                pieces[name] = out_l[a:b]
-            for name, (a, b) in _env_neg_layout(dr.env).items():
-                pieces[name] = out_r[a:b]
-            merged = []
-            for name, _ in env:
-                merged += pieces[name]
-            return merged + out_l[kl:] + out_r[kr:]
+            out_l = self.go(dl, [inputs[i] for i in li] + ret_neg[:nl])
+            out_r = self.go(dr, [inputs[i] for i in ri] + ret_neg[nl:])
+            negs = out_l[:kl] + out_r[:kr]
+            return [negs[i] for i in gather] + out_l[kl:] + out_r[kr:]
         if isinstance(t, App):
             df, da = d.children
             sigma = df.ty.arg  # type: ignore[union-attr]
             sp, sn = pos_atoms(sigma), neg_atoms(sigma)
-            fi = _env_pos_indices(env, d.splits[0][0])
-            ai = _env_pos_indices(env, d.splits[0][1])
-            ret_neg_len = len(neg_atoms(ty))
-            envin = inputs[: len(inputs) - ret_neg_len]
-            t_neg = inputs[len(inputs) - ret_neg_len:]
+            (fi, ai), (kf, ka), gather = _routes(d)
+            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
             c_pos = self.cut(len(sp))
             c_neg = self.cut(len(sn))
-            out_f = self.go(df, [envin[i] for i in fi] + c_pos + t_neg)
-            out_a = self.go(da, [envin[i] for i in ai] + c_neg)
-            kf = len(env_neg_atoms(df.env))
-            ka = len(env_neg_atoms(da.env))
+            out_f = self.go(df, [inputs[i] for i in fi] + c_pos + t_neg)
+            out_a = self.go(da, [inputs[i] for i in ai] + c_neg)
             for ph, val in zip(c_neg, out_f[kf: kf + len(sn)]):
                 self.define(ph, val)
             for ph, val in zip(c_pos, out_a[ka:]):
                 self.define(ph, val)
-            pieces = {}
-            for name, (a, b) in _env_neg_layout(df.env).items():
-                pieces[name] = out_f[a:b]
-            for name, (a, b) in _env_neg_layout(da.env).items():
-                pieces[name] = out_a[a:b]
-            merged = []
-            for name, _ in env:
-                merged += pieces[name]
-            return merged + out_f[kf + len(sn):]
+            negs = out_f[:kf] + out_a[:ka]
+            return [negs[i] for i in gather] + out_f[kf + len(sn):]
         if isinstance(t, LetStar):
             ds, db = d.children
-            si = _env_pos_indices(env, d.splits[0][0])
-            bi = _env_pos_indices(env, d.splits[0][1])
-            ret_neg_len = len(neg_atoms(ty))
-            envin = inputs[: len(inputs) - ret_neg_len]
-            t_neg = inputs[len(inputs) - ret_neg_len:]
-            out_s = self.go(ds, [envin[i] for i in si])
-            out_b = self.go(db, [envin[i] for i in bi] + t_neg)
-            ks = len(env_neg_atoms(ds.env))
-            kb = len(env_neg_atoms(db.env))
-            pieces = {}
-            for name, (a, b) in _env_neg_layout(ds.env).items():
-                pieces[name] = out_s[a:b]
-            for name, (a, b) in _env_neg_layout(db.env).items():
-                pieces[name] = out_b[a:b]
-            merged = []
-            for name, _ in env:
-                merged += pieces[name]
-            return merged + out_b[kb:]
+            (si, bi), (ks, kb), gather = _routes(d)
+            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
+            out_s = self.go(ds, [inputs[i] for i in si])
+            out_b = self.go(db, [inputs[i] for i in bi] + t_neg)
+            negs = out_s[:ks] + out_b[:kb]
+            return [negs[i] for i in gather] + out_b[kb:]
         if isinstance(t, LetPair):
             ds, db = d.children
             sp, sn = pos_atoms(ds.ty), neg_atoms(ds.ty)
-            si = _env_pos_indices(env, d.splits[0][0])
-            bi = _env_pos_indices(env, d.splits[0][1])
-            ret_neg_len = len(neg_atoms(ty))
-            envin = inputs[: len(inputs) - ret_neg_len]
-            t_neg = inputs[len(inputs) - ret_neg_len:]
+            (si, bi), (ks, kb), gather = _routes(d)
+            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
             c_pos = self.cut(len(sp))
             c_neg = self.cut(len(sn))
-            out_s = self.go(ds, [envin[i] for i in si] + c_neg)
-            out_b = self.go(db, [envin[i] for i in bi] + c_pos + t_neg)
-            ks = len(env_neg_atoms(ds.env))
-            kb = len(env_neg_atoms(db.env)) - len(sn)
+            out_s = self.go(ds, [inputs[i] for i in si] + c_neg)
+            out_b = self.go(db, [inputs[i] for i in bi] + c_pos + t_neg)
             for ph, val in zip(c_pos, out_s[ks:]):
                 self.define(ph, val)
             for ph, val in zip(c_neg, out_b[kb: kb + len(sn)]):
                 self.define(ph, val)
-            body_outer_env = Env(db.env.bindings[:-2])
-            pieces = {}
-            for name, (a, b) in _env_neg_layout(ds.env).items():
-                pieces[name] = out_s[a:b]
-            for name, (a, b) in _env_neg_layout(body_outer_env).items():
-                pieces[name] = out_b[a:b]
-            merged = []
-            for name, _ in env:
-                merged += pieces[name]
-            return merged + out_b[kb + len(sn):]
+            negs = out_s[:ks] + out_b[:kb]
+            return [negs[i] for i in gather] + out_b[kb + len(sn):]
         raise AssertionError(t)
 
 
@@ -617,47 +525,7 @@ def decompose(
 
 def int_term_denotation(h: IntTerm, assignment: dict[str, object], registry: SymbolRegistry):
     """Value of a wire term under an assignment of input wire values."""
-    return compile_int_term(h, lambda name: name, registry)(assignment)
-
-
-def compile_int_term(h: IntTerm, slot: Callable[[str], object], registry: SymbolRegistry):
-    """Translate a wire term into a closure over a collection of wire
-    values, ``slot(name)`` giving the index or key of each variable's
-    value in that collection."""
-    if isinstance(h, Var):
-        i = slot(h.name)
-        return lambda vals: vals[i]
-    if isinstance(h, Const):
-        value = h.value
-        return lambda vals: value
-    if isinstance(h, Star):
-        return lambda vals: UNIT
-    if isinstance(h, FnApp):
-        f = registry.get(h.symbol).evaluator
-        args = [compile_int_term(a, slot, registry) for a in h.args]
-        if len(args) == 1:
-            (arg,) = args
-
-            def unary(vals):
-                a = arg(vals)
-                return BOTTOM if a is BOTTOM else f(a)
-
-            return unary
-        if len(args) == 2:
-            left, right = args
-
-            def binary(vals):
-                a, b = left(vals), right(vals)
-                return BOTTOM if a is BOTTOM or b is BOTTOM else f(a, b)
-
-            return binary
-
-        def nary(vals):
-            vs = [a(vals) for a in args]
-            return BOTTOM if any(v is BOTTOM for v in vs) else f(*vs)
-
-        return nary
-    raise AssertionError(h)
+    return compile_term(h, {name: name for name in assignment}, 0, registry)(assignment)
 
 
 def format_int_term(h: IntTerm, labels: dict[str, str] | None = None) -> str:
@@ -681,21 +549,6 @@ def _int_term_closed_value(h: IntTerm, registry: SymbolRegistry) -> float:
     if not isinstance(v, float):
         raise ModelError("expected a closed real wire term")
     return v
-
-
-def fold_int_term(h: IntTerm, registry: SymbolRegistry) -> IntTerm:
-    """Evaluate symbol applications on all-literal arguments.
-
-    Denotation-preserving, so distances over folded terms equal
-    distances over the originals; folding aligns skeletons that differ
-    only in evaluated sub-expressions.
-    """
-    if isinstance(h, FnApp):
-        args = tuple(fold_int_term(a, registry) for a in h.args)
-        if all(isinstance(a, Const) for a in args):
-            return Const(registry.get(h.symbol)(*[a.value for a in args]))
-        return FnApp(h.symbol, args)
-    return h
 
 
 def _same_skeleton(h1: IntTerm, h2: IntTerm) -> Optional[list[tuple]]:
@@ -726,9 +579,9 @@ def _sampled_gap(
     """Max |h1 - h2| over battery assignments to the shared variables,
     refined by a few rounds of local bisection per variable."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
-    slot = {v: i for i, v in enumerate(vs)}.__getitem__
-    f1 = compile_int_term(h1, slot, registry)
-    f2 = compile_int_term(h2, slot, registry)
+    slots = {v: i for i, v in enumerate(vs)}
+    f1 = compile_term(h1, slots, len(vs), registry)
+    f2 = compile_term(h2, slots, len(vs), registry)
 
     def gap(vals: tuple | list) -> float:
         a, b = f1(vals), f2(vals)

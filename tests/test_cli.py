@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linmetric.cli import main
-from linmetric.core import MAX_NESTING
+from linmetric.core import BUILTIN_KINDS, MAX_NESTING
 
 
 @pytest.fixture
@@ -279,6 +282,50 @@ def test_eval_rejects_a_registry_with_a_malformed_gap(workdir, capsys):
     assert err.startswith("error:") and "not a number" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "[]",
+        '{"symbols": 5}',
+        '{"symbols": [{"name": 5, "builtin": "sin"}, {"name": "a", "builtin": "add"}]}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["list", "number", "numeric-name", "deep"],
+)
+def test_dist_rejects_a_registry_of_the_wrong_shape(workdir, capsys, config):
+    (workdir / "shape.json").write_text(config)
+    (workdir / "a.lin").write_text(r"\f:R -o R. a(f 1.0, 2.0)")
+    files = [str(workdir / "a.lin"), str(workdir / "a.lin")]
+    code = main(["dist", *files, "--symbols", str(workdir / "shape.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_files_that_are_not_utf8_are_user_errors(workdir, capsys):
+    (workdir / "latin1.lin").write_bytes(b"sin(\xff)")
+    (workdir / "latin1.json").write_bytes(b'{"symbols": "\xff"}')
+    assert main(["eval", str(workdir / "latin1.lin")]) == 1
+    assert main(["eval", str(workdir / "k2.lin"), "--symbols", str(workdir / "latin1.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 2
+
+
+def test_an_integer_const_value_is_a_real(workdir, capsys):
+    (workdir / "int.json").write_text('{"symbols": [{"name": "c", "builtin": "const", "value": 7}]}')
+    (workdir / "c1.lin").write_text("c(1.0)")
+    (workdir / "two.lin").write_text("2.0")
+    symbols = ["--symbols", str(workdir / "int.json")]
+    assert main(["eval", str(workdir / "c1.lin"), *symbols]) == 0
+    assert capsys.readouterr().out.strip() == "7.0"
+    files = [str(workdir / "c1.lin"), str(workdir / "two.lin")]
+    assert main(["dist", *files, *symbols, "--metric", "all", "--json"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["int"] == {"lo": 5.0, "hi": 5.0, "normalized": False}
+    assert {metrics[k]["lo"] for k in ("obs", "den", "int")} == {5.0}
+
+
 def test_eval_rejects_deep_nesting(workdir, capsys):
     (workdir / "deep.lin").write_text("(" * 3000 + "1.0" + ")" * 3000)
     code = main(["eval", str(workdir / "deep.lin")])
@@ -302,3 +349,68 @@ def test_dist_report_with_a_nan_is_an_internal_error(workdir, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("internal error:") and out == ""
+
+
+# -- registry fuzzing -----------------------------------------------------------
+
+_NAMES = ("add", "sin", "c")  # the symbols of the fuzzed term files
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=12,
+)
+_numbers = st.integers() | st.floats(allow_nan=False)
+
+
+_BASE = [
+    {"name": "add", "builtin": "add"},
+    {"name": "sin", "builtin": "sin"},
+    {"name": "c", "builtin": "const", "value": 0.5},
+]
+
+
+def _registry_shaped(field):
+    """Registries whose entries have the expected keys, each value drawn
+    from ``field(plausible values)``.  They extend a registry that serves
+    the terms; a later entry replaces an earlier one of the same name."""
+    symbol = st.fixed_dictionaries(
+        {"name": field(st.sampled_from(_NAMES)), "builtin": field(st.sampled_from(BUILTIN_KINDS))},
+        optional={"value": field(_numbers), "arity": field(st.integers(0, 3))},
+    )
+    gap = st.fixed_dictionaries(
+        {"a": field(st.sampled_from(_NAMES)), "b": field(st.sampled_from(_NAMES)), "bound": field(_numbers)}
+    )
+    return st.fixed_dictionaries(
+        {"symbols": st.lists(symbol, max_size=3).map(lambda extra: _BASE + extra)},
+        optional={"gaps": st.lists(gap, max_size=3)},
+    )
+
+
+# Arbitrary JSON rarely names the terms' symbols, so two thirds of the
+# draws have the registry's shape: with plausible values (these reach
+# the engines) or with any JSON value in any field.
+_registries = _json | _registry_shaped(lambda s: s) | _registry_shaped(lambda s: s | _json)
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "m.lin").write_text(r"\f:R -o R. add(sin(f 1.0), 2.0)")
+    (d / "n.lin").write_text(r"\f:R -o R. add(c(f 1.0), 0.5)")
+    return d
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(config=_registries)
+def test_any_json_registry_is_accepted_or_a_user_error(fuzzdir, config):
+    path = fuzzdir / "registry.json"
+    path.write_text(json.dumps(config))
+    m, n = str(fuzzdir / "m.lin"), str(fuzzdir / "n.lin")
+    for argv in (["eval", m], ["dist", m, n, "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--symbols", str(path)])
+        assert code in (0, 1), (argv, config, err.getvalue())
+        if code == 0 and argv[0] == "dist":
+            json.loads(out.getvalue())

@@ -344,11 +344,26 @@ def test_registry_rejects_non_finite_values_and_bad_gaps(config):
         {"gaps": [{"a": "c", "b": "d", "bound": "abc"}]},
         {"gaps": [{"a": "c", "bound": 1.0}]},
         {"symbols": [{"arity": 1, "builtin": "sin"}]},
+        [],
+        {"symbols": 5},
+        {"gaps": {"a": "sin", "b": "cos", "bound": 1.0}},
+        {"symbols": [5]},
+        {"gaps": [None]},
+        {"symbols": [{"name": 5, "builtin": "sin"}, {"name": "a", "builtin": "add"}]},
+        {"gaps": [{"a": "sin", "b": ["cos"], "bound": 1.0}]},
+        {"gaps": [{"a": 1, "b": "cos", "bound": 1.0}]},
+        {"symbols": [{"name": "c", "builtin": "const", "value": 10**400}]},
+        {"gaps": [{"a": "sin", "b": "cos", "bound": 10**400}]},
     ],
 )
 def test_registry_rejects_malformed_entries(config):
     with pytest.raises(RegistryError):
         SymbolRegistry.from_config(config)
+
+
+def test_registry_stores_values_as_floats():
+    reg = SymbolRegistry.from_config({"symbols": [{"name": "c", "builtin": "const", "value": 7}]})
+    assert reg.get("c")(1.0) == 7.0 and isinstance(reg.get("c")(1.0), float)
 
 
 def test_symbol_call_rejects_results_that_are_not_finite():

@@ -31,7 +31,6 @@ from linmetric.semden import (
     Closure,
     PairVal,
     ProbeBattery,
-    RealVal,
     UNIT,
     den_distance,
     ground_l1,
@@ -50,18 +49,18 @@ BATTERY = ProbeBattery(seed=0)
 
 def test_interp_constant():
     f = interp_den(EMPTY_ENV, Const(3.0))
-    assert f(()) == RealVal(3.0)
+    assert f(()) == 3.0
 
 
 def test_interp_symbol_on_env_point():
     f = interp_den(env_of(("x", R)), parse_term("sin(x)"))
-    assert f((RealVal(0.0),)) == RealVal(0.0)
+    assert f((0.0,)) == 0.0
 
 
 def test_interp_redex_equals_value():
     m = parse_term(r"(\x:R. x) 5.0")
-    assert interp_den(EMPTY_ENV, m)(()) == RealVal(5.0)
-    assert interp_den(EMPTY_ENV, Const(5.0))(()) == RealVal(5.0)
+    assert interp_den(EMPTY_ENV, m)(()) == 5.0
+    assert interp_den(EMPTY_ENV, Const(5.0))(()) == 5.0
 
 
 def test_interp_strict_on_bottom():
@@ -100,10 +99,10 @@ def test_lambda_runs_the_work_free_of_its_variable_once():
 
     reg = SymbolRegistry([Symbol("add", 2, lambda a, b: a + b), Symbol("f", 1, f)])
     m = parse_term(r"\y:R. add(f(v0), y)", reg)
-    fun = interp_den(env_of(("v0", R)), m, reg)((RealVal(3.0),))
-    outs = [fun(RealVal(float(i))) for i in range(32)]
+    fun = interp_den(env_of(("v0", R)), m, reg)((3.0,))
+    outs = [fun(float(i)) for i in range(32)]
     assert calls == [3.0]
-    assert outs == [RealVal(3.0 + i) for i in range(32)]
+    assert outs == [3.0 + i for i in range(32)]
 
 
 def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
@@ -114,7 +113,7 @@ def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
     fun = Lam("x", R, Lam("p", TTensor(R, R), Lam("y", R, body)))
     m = App(App(App(fun, Const(1.0)), Pair(Const(2.0), Const(3.0))), Const(4.0))
     got = interp_den(EMPTY_ENV, m)(())
-    assert got == RealVal(math.sin(1.0) + 4.0 + (math.sin(2.0) + 3.0))
+    assert got == math.sin(1.0) + 4.0 + (math.sin(2.0) + 3.0)
     assert sem_equal(got, value_to_sem(evaluate(m)))
 
 
@@ -141,7 +140,7 @@ def test_ground_l1_type_mismatch():
 
 
 def test_sem_l1_bottom_is_infinite():
-    assert sem_l1(RealVal(1.0), BOTTOM, R) == math.inf
+    assert sem_l1(1.0, BOTTOM, R) == math.inf
     assert sem_l1(BOTTOM, BOTTOM, R) == 0.0
 
 
@@ -153,7 +152,7 @@ def test_battery_deterministic():
     b2 = ProbeBattery(seed=7)
     assert b1.reals == b2.reals
     t = parse_type("R -o R")
-    x = RealVal(0.75)
+    x = 0.75
     for f1, f2 in zip(b1.samples(t), b2.samples(t)):
         assert sem_equal(f1(x), f2(x))
 
@@ -273,5 +272,5 @@ def test_den_distance_nonexpansive_in_env():
     f = interp_den(env, m)
     for a in (0.0, 1.0, -2.0):
         for b in (0.5, -1.5):
-            da = sem_l1(f((RealVal(a),)), f((RealVal(b),)), R)
+            da = sem_l1(f((a,)), f((b,)), R)
             assert da <= abs(a - b) + 1e-12

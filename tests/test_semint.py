@@ -11,6 +11,7 @@ from linmetric.core import (
     I,
     R,
     Star,
+    Symbol,
     SymbolRegistry,
     Var,
     default_registry,
@@ -21,7 +22,7 @@ from linmetric.core import (
     typecheck,
 )
 from linmetric.dynamics import beta_normalize, evaluate
-from linmetric.semden import BOTTOM, UNIT, ProbeBattery
+from linmetric.semden import BOTTOM, UNIT, PairVal, ProbeBattery, interp_den, sem_equal
 from linmetric.semint import (
     ModelError,
     WireFunction,
@@ -442,6 +443,39 @@ def test_sampled_gap_matches_reference_search():
     ]
     for h1, h2 in pairs:
         assert _sampled_gap(h1, h2, BATTERY, REG) == _reference_sampled_gap(h1, h2, BATTERY, REG)
+
+
+@pytest.mark.parametrize(
+    "text, results",
+    [("add(add(b 2.0, c 3.0), a 1.0)", (70.0,)), ("(b 2.0 * c 3.0) * a 1.0", (20.0, 40.0, 10.0))],
+)
+def test_environment_outputs_leave_in_environment_order(text, results):
+    # the first premise uses b and c, the second a: their query wires
+    # arrive as (b, c, a) and must leave as (a, b, c)
+    env = parse_env("a:R -o R, b:R -o R, c:R -o R")
+    m = parse_term(text)
+    assert interp_int(env, m)((10.0, 20.0, 40.0)) == (1.0, 2.0, 3.0) + results
+    hs, _ = decompose(env, m)
+    assert hs[:3] == [Const(1.0), Const(2.0), Const(3.0)]
+
+
+def test_ternary_symbol_agrees_across_engines():
+    reg = SymbolRegistry([Symbol("add3", 3, lambda a, b, c: a + b + c)])
+    env = env_of(("x", R))
+    m = parse_term("add3(x, 1.0, 2.0)", reg)
+    den = interp_den(env, m, reg)
+    wf = interp_int(env, m, reg)
+    (h,), _ = decompose(env, m, reg)
+    for v in (-3.5, 0.0, 4.25):
+        assert den((v,)) == wf((v,))[0] == int_term_denotation(h, {"x1": v}, reg) == v + 3.0
+    assert den((BOTTOM,)) is BOTTOM
+    assert int_term_denotation(h, {"x1": BOTTOM}, reg) is BOTTOM
+    assert wf((BOTTOM,)) == (BOTTOM,)
+
+
+def test_sem_equal_compares_numbers_by_value():
+    assert sem_equal(3, 3.0) and sem_equal(PairVal(3, UNIT), PairVal(3.0, UNIT))
+    assert not sem_equal(3, 3.5) and not sem_equal(3.0, BOTTOM) and not sem_equal(UNIT, 0.0)
 
 
 def test_first_order_distance_unit_wire():
