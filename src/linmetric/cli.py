@@ -43,8 +43,6 @@ from .semint import (
     format_int_term,
     int_distance,
     interp_int,
-    reset_trace_stats,
-    trace_stats,
     wire_signature,
 )
 from . import gen
@@ -177,7 +175,6 @@ def _check_trace(args) -> tuple[int, str]:
 
     rng = random.Random(args.seed)
     registry = gen.corpus_registry()
-    reset_trace_stats()
     failures = 0
     count = args.count
     for _ in range(count):
@@ -192,10 +189,7 @@ def _check_trace(args) -> tuple[int, str]:
         v = rng.uniform(-5, 5)
         if trace(symmetry(("R", "R"), 1), 1)((v,)) != (v,):
             failures += 1
-    line = (
-        f"trace: {count} functions, yanking+naturality, failures={failures}, "
-        f"max_iterations={trace_stats['max_iterations']}"
-    )
+    line = f"trace: {count} functions, yanking+naturality, failures={failures}"
     return (0 if failures == 0 else INTERNAL_ERROR), line
 
 

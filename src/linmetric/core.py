@@ -594,7 +594,6 @@ class DistInterval:
     lo: ExtReal
     hi: ExtReal
     lo_witness: object = None
-    hi_certificate: object = None
     normalized: bool = False
 
     def __post_init__(self):
@@ -861,12 +860,14 @@ class _Parser:
         return t
 
     def _parse_let(self) -> Term:
+        # 'in' is a plain identifier that the term grammar never takes in
+        # application position, so a scrutinee parses greedily up to it.
         self.lx.next()  # let
         kind, text, pos = self.lx.peek()
         if kind == "*":
             self.lx.next()
             self.lx.expect("=")
-            scrut = self.parse_term_until_in()
+            scrut = self.parse_term()
             self._expect_kw("in")
             return LetStar(scrut, self.parse_term())
         _, v1, p1 = self.lx.expect("ident")
@@ -879,14 +880,9 @@ class _Parser:
             if name in self.registry:
                 raise ParseError(f"{name!r} is a registered symbol, not a variable", p)
         self.lx.expect("=")
-        scrut = self.parse_term_until_in()
+        scrut = self.parse_term()
         self._expect_kw("in")
         return LetPair(v1, v2, scrut, self.parse_term())
-
-    def parse_term_until_in(self) -> Term:
-        # 'in' is a plain identifier; the term grammar never produces a bare
-        # 'in' in application position, so parse greedily and stop on it.
-        return self.parse_term()
 
     def _expect_kw(self, word: str):
         kind, text, pos = self.lx.next()
@@ -1090,9 +1086,6 @@ class _Checker:
             out |= p
         return out
 
-    def _split(self, env: Env, *needed: set[str]) -> tuple[Env, ...]:
-        return tuple(env.restrict(n) for n in needed)
-
     def _check(self, env: Env, t: Term) -> Derivation:
         if isinstance(t, Var):
             if len(env) != 1 or env.bindings[0][0] != t.name:
@@ -1117,8 +1110,7 @@ class _Checker:
             sym = self.registry.get(t.symbol)
             if len(t.args) != sym.arity:
                 raise TypeError_(f"symbol {t.symbol!r} has arity {sym.arity}, got {len(t.args)}")
-            needed = [free_or_hole(a, self.hole) for a in t.args]
-            envs = self._split(env, *needed)
+            envs = [env.restrict(free_or_hole(a, self.hole)) for a in t.args]
             subs = []
             for a, e in zip(t.args, envs):
                 d = self._check(e, a)
@@ -1128,7 +1120,7 @@ class _Checker:
             return Derivation(t, env, R, (tuple(e.names() for e in envs),), tuple(subs))
         if isinstance(t, App):
             nf, na = free_or_hole(t.fn, self.hole), free_or_hole(t.arg, self.hole)
-            ef, ea = self._split(env, nf, na)
+            ef, ea = env.restrict(nf), env.restrict(na)
             df = self._check(ef, t.fn)
             if not isinstance(df.ty, TLolli):
                 raise TypeError_(f"application head has type {print_type(df.ty)}, not a function")
@@ -1144,14 +1136,14 @@ class _Checker:
             return Derivation(t, env, TLolli(t.ann, db.ty), (), (db,))
         if isinstance(t, Pair):
             nl, nr = free_or_hole(t.left, self.hole), free_or_hole(t.right, self.hole)
-            el, er = self._split(env, nl, nr)
+            el, er = env.restrict(nl), env.restrict(nr)
             dl = self._check(el, t.left)
             dr = self._check(er, t.right)
             return Derivation(t, env, TTensor(dl.ty, dr.ty), ((el.names(), er.names()),), (dl, dr))
         if isinstance(t, LetStar):
             ns = free_or_hole(t.scrutinee, self.hole)
             nb = free_or_hole(t.body, self.hole)
-            es, eb = self._split(env, ns, nb)
+            es, eb = env.restrict(ns), env.restrict(nb)
             ds = self._check(es, t.scrutinee)
             if ds.ty != I:
                 raise TypeError_(f"let * scrutinee must be I, got {print_type(ds.ty)}")
@@ -1160,7 +1152,7 @@ class _Checker:
         if isinstance(t, LetPair):
             ns = free_or_hole(t.scrutinee, self.hole)
             nb = free_or_hole(t.body, self.hole) - {t.var1, t.var2}
-            es, eb = self._split(env, ns, nb)
+            es, eb = env.restrict(ns), env.restrict(nb)
             ds = self._check(es, t.scrutinee)
             if not isinstance(ds.ty, TTensor):
                 raise TypeError_(f"let (x) scrutinee must be a tensor, got {print_type(ds.ty)}")

@@ -39,14 +39,11 @@ from .core import (
 )
 
 
-_fresh_counter = itertools.count()
-
-
 def fresh_name(base: str, avoid: set[str]) -> str:
     if base not in avoid:
         return base
-    while True:
-        cand = f"{base}_{next(_fresh_counter)}"
+    for k in itertools.count():
+        cand = f"{base}_{k}"
         if cand not in avoid:
             return cand
 
@@ -214,10 +211,12 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def literal_diffs(
     a: Term, b: Term, ma: dict = {}, mb: dict = {}
-) -> Optional[list[tuple[tuple, float, float]]]:
+) -> Optional[list[tuple[tuple, object, object]]]:
     """Where two terms that agree up to bound names differ, as
-    ``(position, a_value, b_value)`` for each pair of unequal literals at
-    the same position; None if they differ anywhere else.
+    ``(position, a_value, b_value)`` for each pair of unequal literals
+    and each pair of unequal symbols of the same arity at the same
+    position (values are floats for literals, names for symbols), in
+    preorder; None if they differ anywhere else.
 
     ``ma``/``mb`` map each bound name of ``a``/``b`` to a tag naming its
     binder, so that two bound variables agree iff they have the same tag;
@@ -231,9 +230,12 @@ def literal_diffs(
         return [] if ma.get(a.name, a.name) == mb.get(b.name, b.name) else None
     if isinstance(a, (Star, Hole)):
         return []
+    out = []
     if isinstance(a, FnApp):
-        if a.symbol != b.symbol or len(a.args) != len(b.args):
+        if len(a.args) != len(b.args):
             return None
+        if a.symbol != b.symbol:
+            out.append(((), a.symbol, b.symbol))
         pairs = [(x, y, ma, mb) for x, y in zip(a.args, b.args)]
     elif isinstance(a, Lam):
         if a.ann != b.ann:
@@ -248,7 +250,6 @@ def literal_diffs(
         ]
     else:  # App, Pair, LetStar: positional children, no binders
         pairs = [(x, y, ma, mb) for x, y in zip(children(a), children(b))]
-    out = []
     for i, (x, y, mx, my) in enumerate(pairs):
         sub = literal_diffs(x, y, mx, my)
         if sub is None:

@@ -206,7 +206,7 @@ def equ_upper_bound(
     if alpha_eq(cm, cn):
         return 0.0, Eq0(env, ty, m, n)
     diffs = literal_diffs(cm, cn)
-    if diffs is None:
+    if diffs is None or any(isinstance(a, str) for _, a, _ in diffs):
         return INF, None
     steps: list[QDerivation] = []
     current = cm
@@ -230,10 +230,6 @@ def equ_upper_bound(
 # Metric logical relations
 
 
-def _eval_pair(m: Term, n: Term, registry: SymbolRegistry) -> tuple[Term, Term]:
-    return evaluate(m, registry), evaluate(n, registry)
-
-
 def log_relate(
     v: Term,
     u: Term,
@@ -254,7 +250,7 @@ def log_relate(
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)
     if is_observable(ty):
-        d = ground_l1(*_eval_pair(v, u, registry), ty)
+        d = ground_l1(evaluate(v, registry), evaluate(u, registry), ty)
         if d <= r + EPS:
             return "holds"
         if witness is not None:
@@ -263,8 +259,8 @@ def log_relate(
     if r == INF:
         return "unknown"
     if isinstance(ty, TTensor):
-        vv, uu = _eval_pair(v, u, registry)
-        obs = _observable_part_l1(vv, uu, ty)
+        vv, uu = evaluate(v, registry), evaluate(u, registry)
+        obs = _observable_l1(vv, uu, ty)
         if obs > r + EPS:
             if witness is not None:
                 witness.append(("observable-part", vv, uu, obs, r))
@@ -277,7 +273,7 @@ def log_relate(
     if isinstance(ty, TLolli):
         if depth <= 0:
             return "unknown"
-        vv, uu = _eval_pair(v, u, registry)
+        vv, uu = evaluate(v, registry), evaluate(u, registry)
         if not (isinstance(vv, Lam) and isinstance(uu, Lam)):
             return "unknown"
         for arg_v, arg_u, s in _argument_pairs(ty.arg, registry):
@@ -290,16 +286,6 @@ def log_relate(
                 return "fails"
         return "unknown"
     raise AssertionError(ty)
-
-
-def _observable_part_l1(v: Term, u: Term, ty: Ty) -> float:
-    if is_observable(ty):
-        return ground_l1(v, u, ty)
-    if isinstance(ty, TTensor):
-        return _observable_part_l1(v.left, u.left, ty.left) + _observable_part_l1(
-            v.right, u.right, ty.right
-        )
-    return 0.0
 
 
 def _function_components(v: Term, u: Term, ty: Ty):
@@ -331,7 +317,7 @@ def log_distance_observable(
     registry = registry if registry is not None else default_registry()
     if not is_observable(ty):
         raise TypeError_("type is not observable; use obs_lower_bound instead")
-    return ground_l1(*_eval_pair(m, n, registry), ty)
+    return ground_l1(evaluate(m, registry), evaluate(n, registry), ty)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +451,12 @@ def _observable_components(v: Term, ty: Ty) -> list[float]:
     return []
 
 
+def _observable_l1(v: Term, u: Term, ty: Ty) -> float:
+    """L1 distance of the real components of ``v`` and ``u`` reachable through tensors."""
+    comps = zip(_observable_components(v, ty), _observable_components(u, ty))
+    return float(sum(abs(a - b) for a, b in comps))
+
+
 def _elaborations(ctx: Term, ty: Ty, registry: SymbolRegistry, budget: ObsBudget, depth: int):
     """Closed observing contexts reachable from ``ctx : ty``."""
     yield ctx, ty
@@ -510,19 +502,16 @@ def obs_lower_bound(
     registry = registry if registry is not None else default_registry()
     budget = budget if budget is not None else ObsBudget()
 
+    closed: Term = HOLE
+    for name, t in reversed(tuple(env)):
+        closed = Lam(name, t, closed)
+    pools = [probe_values(t, registry, budget.values_per_type) for _, t in env]
     base_contexts: list[tuple[Term, Ty]] = []
-    if len(env) == 0:
-        base_contexts.append((HOLE, ty))
-    else:
-        closed = HOLE
-        for name, t in reversed(tuple(env)):
-            closed = Lam(name, t, closed)
-        pools = [probe_values(t, registry, budget.values_per_type) for _, t in env]
-        for combo in itertools.islice(itertools.product(*pools), budget.max_contexts):
-            c: Term = closed
-            for w in combo:
-                c = App(c, w)
-            base_contexts.append((c, ty))
+    for combo in itertools.islice(itertools.product(*pools), budget.max_contexts):
+        c = closed
+        for w in combo:
+            c = App(c, w)
+        base_contexts.append((c, ty))
 
     best = 0.0
     best_witness = None
@@ -537,9 +526,7 @@ def obs_lower_bound(
                 vn = evaluate(plug(ctx, n), registry)
             except LinError:
                 continue
-            comps_m = _observable_components(vm, cty)
-            comps_n = _observable_components(vn, cty)
-            got = float(sum(abs(a - b) for a, b in zip(comps_m, comps_n)))
+            got = _observable_l1(vm, vn, cty)
             if got > best or best_witness is None:
                 best = got
                 best_witness = ObsWitness(ctx, vm, vn, got)
@@ -588,9 +575,9 @@ def int_engine(env: Env, ty: Ty, m: Term, n: Term, cfg: EngineConfig) -> DistInt
 
 
 def equ_engine(env: Env, ty: Ty, m: Term, n: Term, cfg: EngineConfig) -> DistInterval:
-    hi, cert = equ_upper_bound(env, ty, m, n, cfg.registry)
+    hi, _ = equ_upper_bound(env, ty, m, n, cfg.registry)
     lo, _ = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry)
-    return DistInterval(min(lo, hi), hi, hi_certificate=cert)
+    return DistInterval(min(lo, hi), hi)
 
 
 ENGINES = {"den": den_engine, "int": int_engine, "equ": equ_engine}

@@ -527,15 +527,8 @@ class ProbeBattery:
         return out
 
     def env_samples(self, env: Env, limit: int = 64) -> list[SemEnvPoint]:
-        if len(env) == 0:
-            return [()]
         pools = [self.samples(t) for _, t in env]
-        out = []
-        for i, combo in enumerate(itertools.product(*pools)):
-            if i >= limit:
-                break
-            out.append(tuple(combo))
-        return out
+        return list(itertools.islice(itertools.product(*pools), limit))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,11 @@ but its own account of each rule's feedback and cut wires;
 decompositions.  A wire value is a plain number (R) or ``BOTTOM``, or
 ``UNIT`` (I), as in the denotational model, and each wire term is
 compiled once by ``semden.compile_term`` into a closure that the
-distance search runs at every probe.
+distance search runs at every probe.  Where two wire terms differ only
+in literals and in symbols of the same arity (``dynamics.literal_diffs``),
+a wire's upper bound is the sum of the literal differences and the
+registry's symbol gaps; a sampled gap above that sum refutes a registry
+gap, which is a user error.  Nothing here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .core import (
     LetStar,
     ModelError,
     Pair,
+    RegistryError,
     Star,
     STAR,
     SymbolRegistry,
@@ -62,7 +67,7 @@ from .core import (
     neg_atoms,
     pos_atoms,
 )
-from .dynamics import beta_normalize, fold_literals as fold_int_term, is_beta_normal
+from .dynamics import beta_normalize, fold_literals as fold_int_term, is_beta_normal, literal_diffs
 from .semden import BOTTOM, UNIT, ProbeBattery, compile_term
 
 
@@ -121,14 +126,6 @@ def bottom_of(atom: str):
 # ---------------------------------------------------------------------------
 # Wire functions and trace
 
-trace_stats = {"traces": 0, "max_iterations": 0}
-
-
-def reset_trace_stats():
-    trace_stats["traces"] = 0
-    trace_stats["max_iterations"] = 0
-
-
 @dataclass(frozen=True)
 class WireFunction:
     """Monotone non-expansive map between tuples of flat wire values."""
@@ -136,7 +133,6 @@ class WireFunction:
     in_types: tuple[str, ...]
     out_types: tuple[str, ...]
     step: Callable[[tuple], tuple]
-    feedback_width: int = 0
 
     def __call__(self, inputs: tuple) -> tuple:
         if len(inputs) != len(self.in_types):
@@ -158,25 +154,16 @@ def _iterate_feedback(
 
     Raises ModelError if an update is not an increase in the flat order.
     """
-    width = len(z_types)
     z = tuple(bottom_of(t) for t in z_types)
-    iterations = 0
-    for _ in range(width + 2):
+    for _ in range(len(z_types) + 2):
         z_new = fn(z)
         if z_new == z:
-            break
+            return z
         for old, new in zip(z, z_new):
             if not _wire_leq(old, new):
                 raise ModelError("non-monotone feedback step detected")
         z = z_new
-        iterations += 1
-    else:
-        raise ModelError("feedback did not converge within width + 1 rounds")
-    trace_stats["traces"] += 1
-    trace_stats["max_iterations"] = max(trace_stats["max_iterations"], iterations)
-    if iterations > width + 1:
-        raise ModelError("feedback iteration bound exceeded")
-    return z
+    raise ModelError("feedback did not converge within width + 1 rounds")
 
 
 def trace(f: WireFunction, z_width: int) -> WireFunction:
@@ -199,7 +186,7 @@ def trace(f: WireFunction, z_width: int) -> WireFunction:
         z = _iterate_feedback(advance, z_in)
         return f(inputs + z)[: len(out_keep)]
 
-    return WireFunction(in_keep, out_keep, step, feedback_width=z_width)
+    return WireFunction(in_keep, out_keep, step)
 
 
 def symmetry(types: tuple[str, ...], k: int) -> WireFunction:
@@ -266,7 +253,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 
     if isinstance(t, Lam):
         inner = _interp(d.children[0], reg)
-        return WireFunction(sig.in_types, sig.out_types, inner.step, inner.feedback_width)
+        return WireFunction(sig.in_types, sig.out_types, inner.step)
 
     if isinstance(t, FnApp):
         subs = [_interp(c, reg) for c in d.children]
@@ -332,9 +319,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
             negs = out_f[:kf] + out_a[:ka]
             return tuple(negs[i] for i in gather) + out_f[kf + len(sn):]
 
-        return WireFunction(
-            sig.in_types, sig.out_types, step, feedback_width=len(sp) + len(sn)
-        )
+        return WireFunction(sig.in_types, sig.out_types, step)
 
     if isinstance(t, LetStar):
         ds, db = d.children
@@ -380,9 +365,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
             negs = out_s[:ks] + out_b[:kb]
             return tuple(negs[i] for i in gather) + out_b[kb + len(sn):]
 
-        return WireFunction(
-            sig.in_types, sig.out_types, step, feedback_width=len(sp) + len(sn)
-        )
+        return WireFunction(sig.in_types, sig.out_types, step)
 
     raise AssertionError(t)
 
@@ -544,35 +527,6 @@ def format_int_term(h: IntTerm, labels: dict[str, str] | None = None) -> str:
 # Distances between wire terms
 
 
-def _int_term_closed_value(h: IntTerm, registry: SymbolRegistry) -> float:
-    v = int_term_denotation(h, {}, registry)
-    if not isinstance(v, float):
-        raise ModelError("expected a closed real wire term")
-    return v
-
-
-def _same_skeleton(h1: IntTerm, h2: IntTerm) -> Optional[list[tuple]]:
-    """If the terms differ only in literals/symbols at matching positions,
-    return the list of differences; otherwise None."""
-    if isinstance(h1, Const) and isinstance(h2, Const):
-        return [] if h1.value == h2.value else [("lit", h1.value, h2.value)]
-    if isinstance(h1, Var) and isinstance(h2, Var):
-        return [] if h1.name == h2.name else None
-    if isinstance(h1, Star) and isinstance(h2, Star):
-        return []
-    if isinstance(h1, FnApp) and isinstance(h2, FnApp):
-        if len(h1.args) != len(h2.args):
-            return None
-        out = [] if h1.symbol == h2.symbol else [("sym", h1.symbol, h2.symbol)]
-        for a, b in zip(h1.args, h2.args):
-            sub = _same_skeleton(a, b)
-            if sub is None:
-                return None
-            out += sub
-        return out
-    return None
-
-
 def _sampled_gap(
     h1: IntTerm, h2: IntTerm, battery: ProbeBattery, registry: SymbolRegistry
 ) -> float:
@@ -626,24 +580,21 @@ def first_order_distance(
     h2 = fold_int_term(h2, registry)
     if h1 == h2:
         return DistInterval(0.0, 0.0)
-    v1, v2 = int_term_vars(h1), int_term_vars(h2)
-    if not v1 and not v2:
-        d = abs(_int_term_closed_value(h1, registry) - _int_term_closed_value(h2, registry))
-        return DistInterval(d, d)
-    diffs = _same_skeleton(h1, h2)
-    if diffs is not None:
-        hi = 0.0
-        for kind, a, b in diffs:
-            if kind == "lit":
-                hi += abs(a - b)
-            else:
-                hi += registry.gap(a, b)
-        lo = _sampled_gap(h1, h2, battery, registry)
-        if lo > hi + EPS:
-            raise ModelError(f"sampled gap {lo} exceeds certified bound {hi}")
-        return DistInterval(min(lo, hi), hi)
+    diffs = literal_diffs(h1, h2)
     lo = _sampled_gap(h1, h2, battery, registry)
-    return DistInterval(lo, INF)
+    if diffs is None:
+        return DistInterval(lo, INF)
+    hi = 0.0
+    for _, a, b in diffs:
+        hi += registry.gap(a, b) if isinstance(a, str) else abs(a - b)
+    if lo > hi + EPS:
+        gaps = [f"{a}/{b}" for _, a, b in diffs if isinstance(a, str)]
+        if gaps:
+            raise RegistryError(
+                f"sampled gap {lo} exceeds the bound {hi} claimed by registry gaps {gaps}"
+            )
+        raise ModelError(f"sampled gap {lo} exceeds certified bound {hi}")
+    return DistInterval(min(lo, hi), hi)
 
 
 def int_distance(

@@ -221,6 +221,21 @@ def test_dist_inf_encoding(workdir, capsys):
     assert report["equ"]["certificate"] is None
 
 
+@pytest.mark.parametrize("metric", ["int", "all"])
+def test_dist_with_a_refuted_registry_gap_is_a_user_error(workdir, capsys, metric):
+    symbols = [{"name": f, "arity": 1, "builtin": f} for f in ("sin", "cos")]
+    gaps = [{"a": "sin", "b": "cos", "bound": 0.1}]
+    (workdir / "gap.json").write_text(json.dumps({"symbols": symbols, "gaps": gaps}))
+    (workdir / "sin.lin").write_text(r"\x:R. sin(x)")
+    (workdir / "cos.lin").write_text(r"\x:R. cos(x)")
+    files = [str(workdir / "sin.lin"), str(workdir / "cos.lin")]
+    code = main(["dist", *files, "--symbols", str(workdir / "gap.json"), "--metric", metric])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "sin/cos" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_dist_chain_violation_exits_2(workdir, capsys, monkeypatch):
     import linmetric.cli as cli_mod
 

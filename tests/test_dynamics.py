@@ -65,6 +65,12 @@ def test_substitute_avoids_capture():
     assert out.body == App(Var("y"), Var(out.var))
 
 
+def test_substitute_names_depend_on_the_input_alone():
+    t = Lam("y", R, App(Var("x"), Var("y")))
+    first, second = substitute(t, "x", Var("y")), substitute(t, "x", Var("y"))
+    assert first == second == Lam("y_0", R, App(Var("y"), Var("y_0")))
+
+
 def test_substitute_size_in_linear_term():
     t = parse_term(r"\y:R. add(x, y)")
     v = parse_term("sin(1.0)")
@@ -236,6 +242,12 @@ def test_alpha_eq():
     # terms that differ only in one literal are not alpha-equal
     a, b = parse_term(r"\x:R. add(x, 1.0)"), parse_term(r"\y:R. add(y, 2.5)")
     assert literal_diffs(a, b) == [((0, 1), 1.0, 2.5)]
+    assert not alpha_eq(a, b)
+    # unequal symbols of the same arity are reported in preorder, before their arguments
+    a, b = parse_term(r"\x:R. add(sin(x), 1.0)"), parse_term(r"\y:R. add(cos(y), 2.5)")
+    assert literal_diffs(a, b) == [((0, 0), "sin", "cos"), ((0, 1), 1.0, 2.5)]
+    a, b = parse_term(r"\x:R. sin(x)"), parse_term(r"\y:R. cos(y)")
+    assert literal_diffs(a, b) == [((0,), "sin", "cos")]
     assert not alpha_eq(a, b)
 
 

@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linmetric.core import EMPTY_ENV, R, I, TLolli, TTensor, print_term, term_size, typecheck
+from linmetric.core import (
+    EMPTY_ENV,
+    R,
+    I,
+    TLolli,
+    TTensor,
+    parse_term,
+    parse_type,
+    print_term,
+    print_type,
+    term_size,
+    typecheck,
+)
 from linmetric.dynamics import eq_decide, evaluate, is_beta_normal
 from linmetric.gen import (
     admissibility_corpus,
@@ -82,6 +94,14 @@ def test_corpora_are_seed_deterministic():
     assert [(print_term(m), print_term(n)) for _, _, m, n in pa] == [
         (print_term(m), print_term(n)) for _, _, m, n in pb
     ]
+
+
+def test_generated_pairs_survive_print_then_parse():
+    for env, ty, m, n in typed_pair_corpus(3, 400, REG):
+        for t in (ty, *(t for _, t in env)):
+            assert parse_type(print_type(t)) == t
+        for t in (m, n):
+            assert parse_term(print_term(t), REG) == t
 
 
 def test_beta_normal_corpus_properties():

@@ -175,6 +175,13 @@ def test_equ_upper_abstains_on_skeleton_mismatch():
     assert cert is None
 
 
+def test_equ_upper_abstains_on_a_symbol_difference():
+    # the literals differ too, but no axiom relates sin to cos
+    m = parse_term(r"\x:R. add(sin(x), 1.0)")
+    n = parse_term(r"\x:R. add(cos(x), 2.0)")
+    assert equ_upper_bound(EMPTY_ENV, TLolli(R, R), m, n) == (math.inf, None)
+
+
 def test_equ_upper_respects_canonicalization():
     # add(2,3) folds to 5; distance to 6 is |5-6|
     r, cert = equ_upper_bound(EMPTY_ENV, R, parse_term("add(2.0, 3.0)"), parse_term("6.0"))

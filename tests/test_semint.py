@@ -11,6 +11,7 @@ from linmetric.core import (
     I,
     R,
     Star,
+    RegistryError,
     Symbol,
     SymbolRegistry,
     Var,
@@ -35,10 +36,8 @@ from linmetric.semint import (
     int_term_denotation,
     int_term_vars,
     interp_int,
-    reset_trace_stats,
     symmetry,
     trace,
-    trace_stats,
     wire_signature,
 )
 
@@ -99,11 +98,11 @@ def test_trace_zero_width_is_identity():
 
 
 def test_trace_converges_within_bound():
-    reset_trace_stats()
+    calls = []
     sym = symmetry(("R", "R"), 1)
-    trace(sym, 1)((1.0,))
-    assert trace_stats["traces"] >= 1
-    assert trace_stats["max_iterations"] <= 2
+    counted = WireFunction(sym.in_types, sym.out_types, lambda i: calls.append(i) or sym.step(i))
+    trace(counted, 1)((1.0,))
+    assert 1 <= len(calls) <= 3  # feedback width 1: two rounds, then the final read
 
 
 def _random_wire_function(rng: random.Random, n_in: int, n_out: int) -> WireFunction:
@@ -384,7 +383,7 @@ def test_first_order_distance_cases():
     assert d.lo >= 1.3
 
 
-def test_first_order_distance_sample_above_registry_gap_is_model_error():
+def test_first_order_distance_sample_above_registry_gap_is_registry_error():
     reg = SymbolRegistry.from_config(
         {
             "symbols": [
@@ -395,8 +394,21 @@ def test_first_order_distance_sample_above_registry_gap_is_model_error():
         }
     )
     h1, h2 = FnApp("sin", (Var("x1"),)), FnApp("cos", (Var("x1"),))
-    with pytest.raises(ModelError):
+    with pytest.raises(RegistryError, match=r"\['sin/cos'\]"):
         first_order_distance(h1, h2, ProbeBattery(reg, seed=0), reg)
+
+
+def test_a_refuted_literal_bound_stays_a_model_error(monkeypatch):
+    # the bound then rests on the engine's own arithmetic, not on a user's claim
+    import linmetric.semint as semint
+
+    monkeypatch.setattr(semint, "_sampled_gap", lambda *a: 100.0)
+    with pytest.raises(ModelError):
+        first_order_distance(Const(2.0), Const(3.0), BATTERY, REG)
+    h1 = FnApp("add", (FnApp("sin", (Var("x1"),)), Const(1.0)))
+    h2 = FnApp("add", (FnApp("cos", (Var("x1"),)), Const(2.0)))
+    with pytest.raises(RegistryError, match=r"\['sin/cos'\]"):
+        first_order_distance(h1, h2, BATTERY, REG)
 
 
 def _reference_sampled_gap(h1, h2, battery, registry):
