@@ -493,11 +493,19 @@ def obs_lower_bound(
     n: Term,
     budget: Optional[ObsBudget] = None,
     registry: Optional[SymbolRegistry] = None,
+    upper_bound: float = INF,
 ) -> tuple[float, ObsWitness]:
     """Largest separation found by closing and observing contexts.
 
     Sound lower bound for the observational metric; the witness replays
     by evaluating the stored context around both terms.
+
+    With a certified ``upper_bound`` of 0 the search returns after the
+    first context that evaluates: the witness changes only on a strictly
+    greater gap, so that context is the one the full search reports.  A
+    positive bound does not stop the search, because rounding can put
+    the full search's gap a few ulps above it (``add(v0, -0.7)`` vs
+    ``add(v0, -1.7)`` gives 1.0000000000000002 against a certified 1.0).
     """
     registry = registry if registry is not None else default_registry()
     budget = budget if budget is not None else ObsBudget()
@@ -530,6 +538,8 @@ def obs_lower_bound(
             if got > best or best_witness is None:
                 best = got
                 best_witness = ObsWitness(ctx, vm, vn, got)
+            if upper_bound == 0.0:
+                return best, best_witness
         if count > budget.max_contexts:
             break
     if best_witness is None:
@@ -576,7 +586,7 @@ def int_engine(env: Env, ty: Ty, m: Term, n: Term, cfg: EngineConfig) -> DistInt
 
 def equ_engine(env: Env, ty: Ty, m: Term, n: Term, cfg: EngineConfig) -> DistInterval:
     hi, _ = equ_upper_bound(env, ty, m, n, cfg.registry)
-    lo, _ = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry)
+    lo, _ = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry, upper_bound=hi)
     return DistInterval(min(lo, hi), hi)
 
 
@@ -673,12 +683,15 @@ def ordering_report(
 
     The chain asserted is: obs ≤ den.hi, den.lo ≤ int.hi, int.lo ≤ equ,
     obs ≤ equ.  A violation indicates an engine bug, not a property of
-    the pair.
+    the pair.  On a pair that ``equ`` certifies at 0, ``obs`` and ``den``
+    stop at once (the sandwich closes them at 0), so the chain cannot
+    catch an unsound 0 there; ``tests/test_invariants.py`` searches
+    those pairs in full instead.
     """
     cfg = cfg if cfg is not None else EngineConfig.make()
     # first, so that its type check rejects an ill-typed pair
     equ_hi, cert = equ_upper_bound(env, ty, m, n, cfg.registry)
-    obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry)
+    obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry, upper_bound=equ_hi)
     den = den_distance(
         env, ty, m, n, cfg.battery, depth=cfg.depth, upper_bound=equ_hi, registry=cfg.registry
     )

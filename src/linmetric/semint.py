@@ -528,10 +528,14 @@ def format_int_term(h: IntTerm, labels: dict[str, str] | None = None) -> str:
 
 
 def _sampled_gap(
-    h1: IntTerm, h2: IntTerm, battery: ProbeBattery, registry: SymbolRegistry
+    h1: IntTerm, h2: IntTerm, battery: ProbeBattery, registry: SymbolRegistry, stop: float = INF
 ) -> float:
     """Max |h1 - h2| over battery assignments to the shared variables,
-    refined by a few rounds of local bisection per variable."""
+    refined by a few rounds of local bisection per variable.
+
+    Returns as soon as the best gap reaches ``stop``, in the grid and in
+    the bisection rounds; the caller passes a bound its report clips the
+    gap to, so the reported number is the same."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
     slots = {v: i for i, v in enumerate(vs)}
     f1 = compile_term(h1, slots, len(vs), registry)
@@ -551,6 +555,8 @@ def _sampled_gap(
         g = gap(combo)
         if g > best:
             best, best_assign = g, combo
+            if best >= stop:
+                return best
     # coordinate descent with local bisection
     span = 8.0
     for _round in range(3):
@@ -562,6 +568,8 @@ def _sampled_gap(
                 g = gap(trial)
                 if g > best:
                     best, best_assign = g, trial
+                    if best >= stop:
+                        return best
         span /= 2
     return best
 
@@ -581,14 +589,16 @@ def first_order_distance(
     if h1 == h2:
         return DistInterval(0.0, 0.0)
     diffs = literal_diffs(h1, h2)
-    lo = _sampled_gap(h1, h2, battery, registry)
     if diffs is None:
-        return DistInterval(lo, INF)
+        return DistInterval(_sampled_gap(h1, h2, battery, registry), INF)
     hi = 0.0
     for _, a, b in diffs:
         hi += registry.gap(a, b) if isinstance(a, str) else abs(a - b)
+    gaps = [f"{a}/{b}" for _, a, b in diffs if isinstance(a, str)]
+    # a registry gap is the user's claim and the sampler its only check,
+    # so the search stops at ``hi`` only when every difference is a literal
+    lo = _sampled_gap(h1, h2, battery, registry, INF if gaps else hi)
     if lo > hi + EPS:
-        gaps = [f"{a}/{b}" for _, a, b in diffs if isinstance(a, str)]
         if gaps:
             raise RegistryError(
                 f"sampled gap {lo} exceeds the bound {hi} claimed by registry gaps {gaps}"

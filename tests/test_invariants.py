@@ -8,6 +8,7 @@ import pytest
 from linmetric.core import (
     Const,
     EMPTY_ENV,
+    INF,
     Pair,
     R,
     SymbolRegistry,
@@ -34,6 +35,7 @@ from linmetric.metrics import (
     equ_upper_bound,
     log_distance_observable,
     obs_lower_bound,
+    ordering_report,
 )
 from linmetric.semden import ProbeBattery, den_distance, ground_l1, interp_den, sem_l1
 from linmetric.semint import int_distance
@@ -150,6 +152,32 @@ def test_eq_decide_implies_zero_for_all_engines():
         assert ints.hi <= 1e-9
         lo, _ = obs_lower_bound(env, ty, m, n, CFG.budget, REG)
         assert lo <= 1e-9
+
+
+def test_full_searches_find_zero_where_equ_certifies_zero():
+    # ordering_report stops obs and den at once on these pairs, so its
+    # chain check cannot catch an unsound equ = 0; the full searches can
+    zeros = 0
+    for env, ty, m, n in typed_pair_corpus(28, 120, REG):
+        r, _ = equ_upper_bound(env, ty, m, n, REG)
+        if r != 0.0:
+            continue
+        zeros += 1
+        assert den_distance(env, ty, m, n, BATTERY, upper_bound=INF, registry=REG).lo == 0.0
+        assert obs_lower_bound(env, ty, m, n, registry=REG)[0] == 0.0
+    assert zeros >= 30
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_ordering_report_is_symmetric(seed):
+    def numbers(rep):
+        got = rep["metrics"]
+        return got["obs"]["lo"], got["den"], got["int"]["lo"], got["int"]["hi"], got["equ"]["hi"]
+
+    for env, ty, m, n in typed_pair_corpus(seed, 60, REG):
+        assert numbers(ordering_report(env, ty, m, n, CFG)) == numbers(
+            ordering_report(env, ty, n, m, CFG)
+        ), (print_term(m), print_term(n))
 
 
 def test_sandwich_obs_below_equ_on_corpus():

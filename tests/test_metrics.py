@@ -7,6 +7,7 @@ from linmetric.core import (
     EMPTY_ENV,
     HOLE,
     I,
+    INF,
     Lam,
     R,
     TTensor,
@@ -44,6 +45,7 @@ from linmetric.metrics import (
     qderivation_judgment,
     replay_obs_witness,
 )
+from linmetric.semden import den_distance
 
 CFG = EngineConfig.make(seed=0)
 
@@ -292,6 +294,20 @@ def test_ordering_report_identical_terms():
     assert rep["chain_ok"]
     assert rep["metrics"]["obs"]["lo"] == 0.0
     assert rep["metrics"]["equ"]["hi"] == 0.0
+
+
+def test_ordering_report_does_not_stop_obs_or_den_at_a_positive_bound():
+    # rounding puts the full searches a few ulps above the certified 1.0,
+    # and the report carries what the full searches find
+    env = env_of(("v0", R))
+    m, n = parse_term("add(v0, -0.7)"), parse_term("add(v0, -1.7)")
+    rep = ordering_report(env, R, m, n, CFG)["metrics"]
+    assert rep["equ"]["hi"] == 1.0
+    obs, _ = obs_lower_bound(env, R, m, n, CFG.budget, CFG.registry)
+    den = den_distance(env, R, m, n, CFG.battery, upper_bound=INF, registry=CFG.registry)
+    assert obs == den.lo == 1.0000000000000002
+    assert rep["obs"]["lo"] == obs
+    assert rep["den"]["lo"] == den.lo
 
 
 def test_ordering_report_type_mismatch():

@@ -247,6 +247,23 @@ def test_den_distance_lower_bound_above_upper_bound_is_model_error():
         den_distance(env, R, m, parse_term("x"), BATTERY, upper_bound=0.5)
 
 
+def test_den_distance_at_a_certified_zero_runs_no_symbol():
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return a
+
+    reg = SymbolRegistry([Symbol("add", 2, lambda a, b: a + b), Symbol("f", 1, f)])
+    env = env_of(("v0", R), ("k", TLolli(R, R)))
+    m = parse_term("add(f(v0), k 1.0)", reg)
+    battery = ProbeBattery(reg, seed=0)
+    d = den_distance(env, R, m, m, battery, upper_bound=0.0, registry=reg)
+    assert (d.lo, d.hi, calls) == (0.0, 0.0, [])
+    assert den_distance(env, R, m, m, battery, registry=reg).lo == 0.0
+    assert calls
+
+
 def test_den_distance_witness_replays():
     ty = parse_type("(R -o R) -o R")
     m = parse_term(r"\k:(R -o R). k 0.0")

@@ -398,6 +398,42 @@ def test_first_order_distance_sample_above_registry_gap_is_registry_error():
         first_order_distance(h1, h2, ProbeBattery(reg, seed=0), reg)
 
 
+def test_a_registry_gap_gets_the_full_search():
+    # the claimed gap is |sin(-10) - cos(-10)|, met at the battery's first
+    # real; only a search past that point refutes it (1.4069707727072396)
+    reg = SymbolRegistry.from_config(
+        {
+            "symbols": [
+                {"name": "sin", "arity": 1, "builtin": "sin"},
+                {"name": "cos", "arity": 1, "builtin": "cos"},
+            ],
+            "gaps": [{"a": "sin", "b": "cos", "bound": 1.383092639965822}],
+        }
+    )
+    m, n = parse_term(r"\x:R. sin(x)", reg), parse_term(r"\x:R. cos(x)", reg)
+    with pytest.raises(RegistryError, match="1.4069707727072396"):
+        int_distance(EMPTY_ENV, parse_type("R -o R"), m, n, ProbeBattery(reg, seed=0), reg)
+
+
+def test_sampled_gap_stops_at_a_literal_bound():
+    calls = []
+
+    def add(a, b):
+        calls.append((a, b))
+        return a + b
+
+    reg = SymbolRegistry([Symbol("add", 2, add)])
+    h1, h2 = FnApp("add", (Var("x1"), Const(1.0))), FnApp("add", (Var("x1"), Const(2.0)))
+    battery = ProbeBattery(reg, seed=0)
+    assert _sampled_gap(h1, h2, battery, reg, stop=1.0) == 1.0
+    assert len(calls) == 2
+    d = first_order_distance(h1, h2, battery, reg)
+    assert (d.lo, d.hi, len(calls)) == (1.0, 1.0, 4)
+    # with no bound the search walks the whole grid and the bisection rounds
+    assert _sampled_gap(h1, h2, battery, reg) == 1.0
+    assert len(calls) - 4 == 2 * (len(battery.reals[:16]) + 3 * 4)
+
+
 def test_a_refuted_literal_bound_stays_a_model_error(monkeypatch):
     # the bound then rests on the engine's own arithmetic, not on a user's claim
     import linmetric.semint as semint
