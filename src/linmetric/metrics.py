@@ -683,18 +683,20 @@ def ordering_report(
 
     The chain asserted is: obs ≤ den.hi, den.lo ≤ int.hi, int.lo ≤ equ,
     obs ≤ equ.  A violation indicates an engine bug, not a property of
-    the pair.  On a pair that ``equ`` certifies at 0, ``obs`` and ``den``
-    stop at once (the sandwich closes them at 0), so the chain cannot
-    catch an unsound 0 there; ``tests/test_invariants.py`` searches
-    those pairs in full instead.
+    the pair.  On a pair that ``equ`` certifies at 0, ``obs`` stops at
+    its first context and ``den`` is not searched (the sandwich closes
+    both at 0), so the chain cannot catch an unsound 0 there;
+    ``tests/test_invariants.py`` searches those pairs in full instead.
     """
     cfg = cfg if cfg is not None else EngineConfig.make()
     # first, so that its type check rejects an ill-typed pair
     equ_hi, cert = equ_upper_bound(env, ty, m, n, cfg.registry)
     obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry, upper_bound=equ_hi)
-    den = den_distance(
-        env, ty, m, n, cfg.battery, depth=cfg.depth, upper_bound=equ_hi, registry=cfg.registry
-    )
+    den = DistInterval(0.0, 0.0)  # the sandwich obs <= den <= equ closes it at 0
+    if equ_hi != 0.0:
+        den = den_distance(
+            env, ty, m, n, cfg.battery, depth=cfg.depth, upper_bound=equ_hi, registry=cfg.registry
+        )
     ints = int_distance(env, ty, m, n, cfg.battery, registry=cfg.registry)
 
     chain_ok = (

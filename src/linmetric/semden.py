@@ -583,12 +583,12 @@ def den_distance(
     taken from the caller (an equational certificate dominates this
     metric) except in the exactly-computable cases.
 
-    A certified ``upper_bound`` of 0 closes the enclosure at ``[0, 0]``
-    before any battery point is built or interpreted.  A positive bound
-    does not stop the search: rounding can put the full search's ``lo``
-    a few ulps above it (``add(v0, -0.7)`` vs ``add(v0, -1.7)`` gives
-    1.0000000000000002 against a certified 1.0), and that ``lo`` is the
-    reported number.
+    The search runs in full whatever ``upper_bound`` is, so that the
+    ``ModelError`` check tests the bound; ``ordering_report`` skips the
+    call at a certified 0.  A positive bound could not stop it anyway:
+    rounding can put the full search's ``lo`` a few ulps above it
+    (``add(v0, -0.7)`` vs ``add(v0, -1.7)`` gives 1.0000000000000002
+    against a certified 1.0), and that ``lo`` is the reported number.
     """
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)
@@ -603,8 +603,6 @@ def den_distance(
 
         d = ground_l1(evaluate(m, registry), evaluate(n, registry), ty)
         return DistInterval(d, d, lo_witness=LoWitness((), ()))
-    if upper_bound == 0.0:
-        return DistInterval(0.0, 0.0)
     points = battery.env_samples(env)
     if not points:
         raise TypeError_("den_distance: battery has no samples for this environment")

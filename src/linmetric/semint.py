@@ -535,7 +535,10 @@ def _sampled_gap(
 
     Returns as soon as the best gap reaches ``stop``, in the grid and in
     the bisection rounds; the caller passes a bound its report clips the
-    gap to, so the reported number is the same."""
+    gap to, so the reported number is the same.  A caller that checks
+    the gap against ``stop`` then sees only the samples up to the first
+    one that reaches it: a later sample further above ``stop`` is not
+    evaluated."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
     slots = {v: i for i, v in enumerate(vs)}
     f1 = compile_term(h1, slots, len(vs), registry)
@@ -596,7 +599,8 @@ def first_order_distance(
         hi += registry.gap(a, b) if isinstance(a, str) else abs(a - b)
     gaps = [f"{a}/{b}" for _, a, b in diffs if isinstance(a, str)]
     # a registry gap is the user's claim and the sampler its only check,
-    # so the search stops at ``hi`` only when every difference is a literal
+    # so the search stops at ``hi`` only when every difference is a literal;
+    # the literal self-check below then sees the samples up to that stop
     lo = _sampled_gap(h1, h2, battery, registry, INF if gaps else hi)
     if lo > hi + EPS:
         if gaps:

@@ -310,6 +310,29 @@ def test_ordering_report_does_not_stop_obs_or_den_at_a_positive_bound():
     assert rep["den"]["lo"] == den.lo
 
 
+def test_ordering_report_skips_den_at_a_certified_zero(monkeypatch):
+    import linmetric.metrics as metrics
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return den_distance(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "den_distance", counting)
+    env = env_of(("v0", R), ("k", TLolli(R, R)))
+    m, n = parse_term(r"(\x:R. add(x, k 1.0)) v0"), parse_term("add(v0, k 1.0)")
+    rep = ordering_report(env, R, m, n, CFG)
+    assert (rep["metrics"]["equ"]["hi"], rep["metrics"]["den"], calls) == (
+        0.0,
+        {"lo": 0.0, "hi": 0.0},
+        [],
+    )
+    assert rep["chain_ok"]
+    ordering_report(env, R, n, parse_term("add(v0, k 2.0)"), CFG)
+    assert len(calls) == 1
+
+
 def test_ordering_report_type_mismatch():
     with pytest.raises(TypeError_):
         ordering_report(EMPTY_ENV, R, Const(1.0), parse_term(r"\x:R. x"), CFG)

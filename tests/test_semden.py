@@ -247,7 +247,8 @@ def test_den_distance_lower_bound_above_upper_bound_is_model_error():
         den_distance(env, R, m, parse_term("x"), BATTERY, upper_bound=0.5)
 
 
-def test_den_distance_at_a_certified_zero_runs_no_symbol():
+def test_den_distance_searches_in_full_at_a_zero_bound():
+    # a bound of 0 is still tested: an unsound 0 is a ModelError
     calls = []
 
     def f(a):
@@ -259,9 +260,10 @@ def test_den_distance_at_a_certified_zero_runs_no_symbol():
     m = parse_term("add(f(v0), k 1.0)", reg)
     battery = ProbeBattery(reg, seed=0)
     d = den_distance(env, R, m, m, battery, upper_bound=0.0, registry=reg)
-    assert (d.lo, d.hi, calls) == (0.0, 0.0, [])
-    assert den_distance(env, R, m, m, battery, registry=reg).lo == 0.0
+    assert (d.lo, d.hi) == (0.0, 0.0)
     assert calls
+    with pytest.raises(ModelError):
+        den_distance(env, R, m, parse_term("add(f(v0), k 2.0)", reg), battery, 0, 0.0, reg)
 
 
 def test_den_distance_witness_replays():
