@@ -4,7 +4,7 @@ The calculus is a linear lambda calculus over the reals.  Types are
 ``R`` (reals), ``I`` (unit), tensor and linear function types.  Every
 variable in scope must be consumed exactly once; two-premise typing
 rules split the environment into order-preserving interleavings
-(merges), which the checker infers from variable usage.
+(merges), which the checker reads off the premises in one pass.
 
 Surface syntax (ASCII):
 
@@ -373,9 +373,6 @@ class Env:
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.bindings)
-
-    def types(self) -> tuple[Ty, ...]:
-        return tuple(t for _, t in self.bindings)
 
     def lookup(self, name: str) -> Ty:
         for n, t in self.bindings:
@@ -1039,136 +1036,125 @@ class Derivation:
 
 
 class _Checker:
+    """Linear typing in one pass, reading each split off the premises.
+
+    ``_check(scope, t)`` takes ``scope``, each name in scope mapped to its
+    type in environment order (a binder shadows an outer name it repeats),
+    and returns the derivation whose ``env`` is the part of ``scope`` the
+    premises used.  A name two premises use is used twice; a binder, or a
+    name of ``check``'s environment, that goes unused is an error.  A hole
+    uses exactly the hole environment, which must be the part of ``scope``
+    it names, in order and with the same types.
+    """
+
     def __init__(self, registry: SymbolRegistry, hole: Optional[tuple[Env, Ty]] = None):
         self.registry = registry
         self.hole = hole
 
     def check(self, env: Env, t: Term) -> Derivation:
-        fv = self._needed(t)
-        missing = fv - set(env.names())
-        if missing:
-            raise TypeError_(f"unbound variable(s): {sorted(missing)}")
-        unused = set(env.names()) - fv
-        if unused:
-            raise TypeError_(f"unused variable(s): {sorted(unused)} (linearity violation)")
-        return self._check(env, t)
+        d = self._check(dict(env.bindings), t)
+        if d.env != env:
+            unused = sorted(set(env.names()) - set(d.env.names()))
+            raise TypeError_(f"unused variable(s): {unused} (linearity violation)")
+        return d
 
-    def _needed(self, t: Term) -> set[str]:
-        """Free variables, with duplicate-use detection along the way."""
+    def _check(self, scope: dict[str, Ty], t: Term) -> Derivation:
         if isinstance(t, Var):
-            return {t.name}
-        if isinstance(t, (Const, Star)):
-            return set()
+            if t.name not in scope:
+                raise TypeError_(f"unbound variable {t.name!r}")
+            ty = scope[t.name]
+            return Derivation(t, Env(((t.name, ty),)), ty)
+        if isinstance(t, Const):
+            return Derivation(t, EMPTY_ENV, R)
+        if isinstance(t, Star):
+            return Derivation(t, EMPTY_ENV, I)
         if isinstance(t, Hole):
             if self.hole is None:
                 raise TypeError_("hole in a plain term")
-            return set(self.hole[0].names())
-        if isinstance(t, Lam):
-            inner = self._needed(t.body)
-            if t.var not in inner:
-                raise TypeError_(f"bound variable {t.var!r} unused (linearity violation)")
-            return inner - {t.var}
-        if isinstance(t, LetPair):
-            inner = self._needed(t.body)
-            for v in (t.var1, t.var2):
-                if v not in inner:
-                    raise TypeError_(f"bound variable {v!r} unused (linearity violation)")
-            parts = [self._needed(t.scrutinee), inner - {t.var1, t.var2}]
-        elif isinstance(t, FnApp):
-            parts = [self._needed(a) for a in t.args]
-        else:
-            parts = [self._needed(c) for c in children(t)]
-        out: set[str] = set()
-        for p in parts:
-            dup = out & p
-            if dup:
-                raise TypeError_(f"variable(s) used twice: {sorted(dup)} (linearity violation)")
-            out |= p
-        return out
-
-    def _check(self, env: Env, t: Term) -> Derivation:
-        if isinstance(t, Var):
-            if len(env) != 1 or env.bindings[0][0] != t.name:
-                raise TypeError_(f"variable {t.name!r}: environment must be exactly its binding")
-            return Derivation(t, env, env.bindings[0][1])
-        if isinstance(t, Const):
-            if len(env) != 0:
-                raise TypeError_("constant in a non-empty environment")
-            return Derivation(t, env, R)
-        if isinstance(t, Star):
-            if len(env) != 0:
-                raise TypeError_("unit in a non-empty environment")
-            return Derivation(t, env, I)
-        if isinstance(t, Hole):
-            henv, hty = self.hole  # type: ignore[misc]
-            if env.bindings != henv.bindings:
-                raise TypeError_(
-                    f"hole expects environment {list(henv.bindings)}, got {list(env.bindings)}"
-                )
-            return Derivation(t, env, hty)
+            henv, hty = self.hole
+            named = _used(scope, set(henv.names()))
+            if named != henv:
+                raise TypeError_(f"hole expects environment {list(henv)}, got {list(named)}")
+            return Derivation(t, henv, hty)
         if isinstance(t, FnApp):
             sym = self.registry.get(t.symbol)
             if len(t.args) != sym.arity:
                 raise TypeError_(f"symbol {t.symbol!r} has arity {sym.arity}, got {len(t.args)}")
-            envs = [env.restrict(free_or_hole(a, self.hole)) for a in t.args]
-            subs = []
-            for a, e in zip(t.args, envs):
-                d = self._check(e, a)
+            subs = [self._check(scope, a) for a in t.args]
+            for d in subs:
                 if d.ty != R:
                     raise TypeError_(f"argument of {t.symbol!r} must be R, got {print_type(d.ty)}")
-                subs.append(d)
-            return Derivation(t, env, R, (tuple(e.names() for e in envs),), tuple(subs))
+            return _node(scope, t, R, [d.env for d in subs], subs)
         if isinstance(t, App):
-            nf, na = free_or_hole(t.fn, self.hole), free_or_hole(t.arg, self.hole)
-            ef, ea = env.restrict(nf), env.restrict(na)
-            df = self._check(ef, t.fn)
+            df = self._check(scope, t.fn)
             if not isinstance(df.ty, TLolli):
                 raise TypeError_(f"application head has type {print_type(df.ty)}, not a function")
-            da = self._check(ea, t.arg)
+            da = self._check(scope, t.arg)
             if da.ty != df.ty.arg:
                 raise TypeError_(
                     f"argument type {print_type(da.ty)} does not match {print_type(df.ty.arg)}"
                 )
-            return Derivation(t, env, df.ty.res, ((ef.names(), ea.names()),), (df, da))
+            return _node(scope, t, df.ty.res, [df.env, da.env], [df, da])
         if isinstance(t, Lam):
-            inner = env.extend(t.var, t.ann)
-            db = self._check(inner, t.body)
-            return Derivation(t, env, TLolli(t.ann, db.ty), (), (db,))
+            db = self._check(_bind(scope, ((t.var, t.ann),)), t.body)
+            return Derivation(t, _unbind(db.env, (t.var,)), TLolli(t.ann, db.ty), (), (db,))
         if isinstance(t, Pair):
-            nl, nr = free_or_hole(t.left, self.hole), free_or_hole(t.right, self.hole)
-            el, er = env.restrict(nl), env.restrict(nr)
-            dl = self._check(el, t.left)
-            dr = self._check(er, t.right)
-            return Derivation(t, env, TTensor(dl.ty, dr.ty), ((el.names(), er.names()),), (dl, dr))
+            dl = self._check(scope, t.left)
+            dr = self._check(scope, t.right)
+            return _node(scope, t, TTensor(dl.ty, dr.ty), [dl.env, dr.env], [dl, dr])
         if isinstance(t, LetStar):
-            ns = free_or_hole(t.scrutinee, self.hole)
-            nb = free_or_hole(t.body, self.hole)
-            es, eb = env.restrict(ns), env.restrict(nb)
-            ds = self._check(es, t.scrutinee)
+            ds = self._check(scope, t.scrutinee)
             if ds.ty != I:
                 raise TypeError_(f"let * scrutinee must be I, got {print_type(ds.ty)}")
-            db = self._check(eb, t.body)
-            return Derivation(t, env, db.ty, ((es.names(), eb.names()),), (ds, db))
+            db = self._check(scope, t.body)
+            return _node(scope, t, db.ty, [ds.env, db.env], [ds, db])
         if isinstance(t, LetPair):
-            ns = free_or_hole(t.scrutinee, self.hole)
-            nb = free_or_hole(t.body, self.hole) - {t.var1, t.var2}
-            es, eb = env.restrict(ns), env.restrict(nb)
-            ds = self._check(es, t.scrutinee)
+            ds = self._check(scope, t.scrutinee)
             if not isinstance(ds.ty, TTensor):
                 raise TypeError_(f"let (x) scrutinee must be a tensor, got {print_type(ds.ty)}")
             if t.var1 == t.var2:
                 raise TypeError_(f"let (x) binds {t.var1!r} twice")
-            inner = eb.extend(t.var1, ds.ty.left).extend(t.var2, ds.ty.right)
-            db = self._check(inner, t.body)
-            return Derivation(t, env, db.ty, ((es.names(), eb.names()),), (ds, db))
+            binders = ((t.var1, ds.ty.left), (t.var2, ds.ty.right))
+            db = self._check(_bind(scope, binders), t.body)
+            eb = _unbind(db.env, (t.var1, t.var2))
+            return _node(scope, t, db.ty, [ds.env, eb], [ds, db])
         raise AssertionError(t)
 
 
-def free_or_hole(t: Term, hole: Optional[tuple[Env, Ty]]) -> set[str]:
-    fv = free_vars(t)
-    if hole is not None and hole_count(t) > 0:
-        fv |= set(hole[0].names())
-    return fv
+def _used(scope: dict[str, Ty], names: set[str]) -> Env:
+    """The bindings of ``scope`` named in ``names``, in scope order."""
+    return Env(tuple(b for b in scope.items() if b[0] in names))
+
+
+def _bind(scope: dict[str, Ty], binders: tuple[tuple[str, Ty], ...]) -> dict[str, Ty]:
+    """``scope`` with ``binders`` appended, each shadowing an outer name it repeats."""
+    inner = dict(scope)
+    for name, _ in binders:
+        inner.pop(name, None)
+    inner.update(binders)
+    return inner
+
+
+def _unbind(env: Env, binders: tuple[str, ...]) -> Env:
+    """A body's ``env`` less its binders, which ``_bind`` put last."""
+    unused = [v for v in binders if v not in env.names()]
+    if unused:
+        raise TypeError_(f"bound variable {unused[0]!r} unused (linearity violation)")
+    return Env(env.bindings[: -len(binders)])
+
+
+def _node(
+    scope: dict[str, Ty], t: Term, ty: Ty, parts: list[Env], subs: list[Derivation]
+) -> Derivation:
+    """The derivation of ``t`` whose premises used the disjoint ``parts`` of ``scope``."""
+    split = tuple(p.names() for p in parts)
+    used: set[str] = set()
+    for names in split:
+        twice = used.intersection(names)
+        if twice:
+            raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
+        used.update(names)
+    return Derivation(t, _used(scope, used), ty, (split,), tuple(subs))
 
 
 def typecheck(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) -> Ty:

@@ -16,6 +16,7 @@ chain obs ≤ den ≤ int ≤ equ that the theory predicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -237,7 +238,6 @@ def log_relate(
     r: float,
     depth: int = 2,
     registry: Optional[SymbolRegistry] = None,
-    battery: Optional[ProbeBattery] = None,
     witness: Optional[list] = None,
 ) -> str:
     """Tri-state logical relation test: 'holds' | 'fails' | 'unknown'.
@@ -248,7 +248,6 @@ def log_relate(
     list is supplied), absence of one is not.
     """
     registry = registry if registry is not None else default_registry()
-    battery = battery if battery is not None else ProbeBattery(registry)
     if is_observable(ty):
         d = ground_l1(evaluate(v, registry), evaluate(u, registry), ty)
         if d <= r + EPS:
@@ -266,7 +265,7 @@ def log_relate(
                 witness.append(("observable-part", vv, uu, obs, r))
             return "fails"
         for comp_v, comp_u, comp_ty in _function_components(vv, uu, ty):
-            sub = log_relate(comp_v, comp_u, comp_ty, r - obs, depth, registry, battery, witness)
+            sub = log_relate(comp_v, comp_u, comp_ty, r - obs, depth, registry, witness)
             if sub == "fails":
                 return "fails"
         return "unknown"
@@ -279,7 +278,7 @@ def log_relate(
         for arg_v, arg_u, s in _argument_pairs(ty.arg, registry):
             body_v = App(vv, arg_v)
             body_u = App(uu, arg_u)
-            sub = log_relate(body_v, body_u, ty.res, r + s, depth - 1, registry, battery, witness)
+            sub = log_relate(body_v, body_u, ty.res, r + s, depth - 1, registry, witness)
             if sub == "fails":
                 if witness is not None:
                     witness.append(("argument-pair", arg_v, arg_u, s))
@@ -514,34 +513,23 @@ def obs_lower_bound(
     for name, t in reversed(tuple(env)):
         closed = Lam(name, t, closed)
     pools = [probe_values(t, registry, budget.values_per_type) for _, t in env]
-    base_contexts: list[tuple[Term, Ty]] = []
-    for combo in itertools.islice(itertools.product(*pools), budget.max_contexts):
-        c = closed
-        for w in combo:
-            c = App(c, w)
-        base_contexts.append((c, ty))
+    bases = (functools.reduce(App, combo, closed) for combo in itertools.product(*pools))
+    contexts = (c for base in bases for c in _elaborations(base, ty, registry, budget, APPLY_DEPTH))
 
     best = 0.0
     best_witness = None
-    count = 0
-    for base, base_ty in base_contexts:
-        for ctx, cty in _elaborations(base, base_ty, registry, budget, APPLY_DEPTH):
-            count += 1
-            if count > budget.max_contexts:
-                break
-            try:
-                vm = evaluate(plug(ctx, m), registry)
-                vn = evaluate(plug(ctx, n), registry)
-            except LinError:
-                continue
-            got = _observable_l1(vm, vn, cty)
-            if got > best or best_witness is None:
-                best = got
-                best_witness = ObsWitness(ctx, vm, vn, got)
-            if upper_bound == 0.0:
-                return best, best_witness
-        if count > budget.max_contexts:
-            break
+    for ctx, cty in itertools.islice(contexts, budget.max_contexts):
+        try:
+            vm = evaluate(plug(ctx, m), registry)
+            vn = evaluate(plug(ctx, n), registry)
+        except LinError:
+            continue
+        got = _observable_l1(vm, vn, cty)
+        if got > best or best_witness is None:
+            best = got
+            best_witness = ObsWitness(ctx, vm, vn, got)
+        if upper_bound == 0.0:
+            return best, best_witness
     if best_witness is None:
         best_witness = ObsWitness(HOLE, m, n, 0.0)
     return best, best_witness

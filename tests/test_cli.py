@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linmetric.cli import main
-from linmetric.core import BUILTIN_KINDS, MAX_NESTING
+from linmetric.core import BUILTIN_KINDS, MAX_NESTING, print_term, print_type
+from linmetric.gen import corpus_registry, typed_pair_corpus
 
 
 @pytest.fixture
@@ -429,3 +433,50 @@ def test_any_json_registry_is_accepted_or_a_user_error(fuzzdir, config):
         assert code in (0, 1), (argv, config, err.getvalue())
         if code == 0 and argv[0] == "dist":
             json.loads(out.getvalue())
+
+
+_TOKEN = re.compile(r"-o|\[-\]|-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|[A-Za-z_][\w']*|\S")
+
+
+def _mutants(rng, text):
+    """``text`` with one token deleted, with one duplicated, and with two adjacent ones swapped."""
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    a, b = spans[rng.randrange(len(spans))]
+    yield text[:a] + text[b:]
+    yield text[:b] + " " + text[a:b] + text[b:]
+    if len(spans) > 1:
+        i = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[i], spans[i + 1]
+        yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def test_hostile_term_files_exit_0_or_1(tmp_path):
+    registry = tmp_path / "corpus.json"
+    registry.write_text(json.dumps({
+        "symbols": [{"name": k, "builtin": k} for k in ("add", "sin", "cos", "min", "max")],
+        "gaps": [{"a": "sin", "b": "cos", "bound": math.sqrt(2.0)}],
+    }))
+    rng = random.Random(0)
+    reached = 0
+    pairs = typed_pair_corpus(31, 100, corpus_registry())
+    mutants = [(env, text, n) for env, _, m, n in pairs for text in _mutants(rng, print_term(m))]
+    for k, (env, text, n) in enumerate(mutants):
+        fm, fn = tmp_path / f"m{k}.lin", tmp_path / f"n{k}.lin"
+        fm.write_text(text)
+        fn.write_text(print_term(n))
+        opts = ["--symbols", str(registry), "--env", ", ".join(f"{x}:{print_type(t)}" for x, t in env)]
+        for argv in (
+            ["typecheck", str(fm), *opts],
+            ["eval", str(fm), *opts[:2]],
+            ["normalize", str(fm), *opts],
+            ["wires", str(fm), *opts],
+            ["dist", str(fm), str(fn), "--json", *opts],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), (argv, text, err.getvalue())
+            if code == 0 and argv[0] == "dist":
+                json.loads(out.getvalue())
+            reached += code == 0 and argv[0] == "typecheck"
+    assert reached > 0  # some mutants typecheck, so the engines run on them too

@@ -27,9 +27,12 @@ from linmetric.core import (
     TypeError_,
     Var,
     check_context,
+    children,
     const_paths,
     default_registry,
+    derive,
     env_of,
+    free_vars,
     parse_env,
     parse_term,
     parse_type,
@@ -44,7 +47,7 @@ from linmetric.core import (
     typecheck,
     type_polarity,
 )
-from linmetric.gen import corpus_registry
+from linmetric.gen import corpus_registry, typed_pair_corpus
 
 REG = default_registry()
 
@@ -178,6 +181,69 @@ def test_typecheck_interleaved_split():
     t = parse_term("add(a, c) * b")
     env = env_of(("a", R), ("b", R), ("c", R))
     assert typecheck(env, t) == TTensor(R, R)
+
+
+def _premise_envs_follow_free_variables(d):
+    """The typing rules read declaratively: a premise's env is its node's
+    restricted to the premise's free variables, with the binders appended
+    under λ and in a let (x) body; each split lists the premises' envs
+    less those binders."""
+    t, env = d.term, d.env
+    assert len(d.children) == len(children(t))
+    parts = []
+    for i, (c, dc) in enumerate(zip(children(t), d.children)):
+        binders = ()
+        if isinstance(t, Lam):
+            binders = ((t.var, t.ann),)
+        elif isinstance(t, LetPair) and i == 1:
+            scrut = d.children[0].ty
+            binders = ((t.var1, scrut.left), (t.var2, scrut.right))
+        outer = env.restrict(free_vars(c) - {name for name, _ in binders})
+        assert dc.env == Env(outer.bindings + binders)
+        parts.append(outer.names())
+        _premise_envs_follow_free_variables(dc)
+    assert d.splits == (() if isinstance(t, Lam) or not parts else (tuple(parts),))
+
+
+SHADOWING = [
+    (EMPTY_ENV, r"\x:R. (\x:R. x) x", TLolli(R, R)),
+    (env_of(("x", R)), "let x (x) y = x * 1.0 in add(x, y)", R),
+    (env_of(("x", R)), "add(x, let x (x) y = 1.0 * 2.0 in add(x, y))", R),
+    (env_of(("x", R), ("y", R)), r"(\x:R. add(x, y)) x", R),
+    (env_of(("x", R), ("y", R)), "let x (x) z = x * 1.0 in add(add(x, z), y)", R),
+]
+
+
+def test_premise_envs_follow_free_variables():
+    registry = corpus_registry()
+    corpus = typed_pair_corpus(24, 60, registry)
+    # each environment in its own order and reversed, so that scope order is not name order
+    cases = [(e, t) for env, _, m, n in corpus for e in (env, Env(env.bindings[::-1])) for t in (m, n)]
+    cases += [(env, parse_term(text)) for env, text, _ in SHADOWING]
+    for env, t in cases:
+        d = derive(env, t, registry)
+        assert d.env == env
+        _premise_envs_follow_free_variables(d)
+
+
+@pytest.mark.parametrize("env, text, ty", SHADOWING)
+def test_a_binder_shadows_an_outer_name(env, text, ty):
+    d = derive(env, parse_term(text))
+    assert (d.ty, d.env) == (ty, env)
+
+
+def test_hole_env_must_be_the_scope_part_it_names_in_order():
+    ctx = parse_term(r"\x:R. \y:R. add([-], 1.0)")
+    dst = (EMPTY_ENV, TLolli(R, TLolli(R, R)))
+    assert check_context(ctx, (env_of(("x", R), ("y", R)), R), dst)
+    assert not check_context(ctx, (env_of(("y", R), ("x", R)), R), dst)
+    assert not check_context(ctx, (env_of(("x", R), ("y", I)), R), dst)
+
+
+def test_hole_uses_the_innermost_binding_of_a_name():
+    # plugging any x:R |- M : R gives (\x:R. M) x, typed under x:R
+    ctx = parse_term(r"(\x:R. [-]) x")
+    assert check_context(ctx, (env_of(("x", R)), R), (env_of(("x", R)), R))
 
 
 # -- polarity ---------------------------------------------------------------
