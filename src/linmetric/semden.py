@@ -15,8 +15,8 @@ closures are ``SemValue``s.  Each term is compiled once, by
 ``compile_term``, into Python closures over a slot-indexed environment
 tuple (variables resolved to tuple indices, symbols to their
 evaluators); the probes then run the compiled code, not the syntax
-tree.  The interactive engine compiles its wire terms with the same
-function.
+tree.  ``semint.int_term_denotation`` evaluates a wire term with the
+same function.
 
 A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
 body that mention neither its variable nor a name bound inside the body
@@ -157,8 +157,8 @@ def compile_term(
     ``slots`` maps each name in scope, and the ``id`` of each subterm a
     λ hoisted, to its index in that tuple; ``depth`` is the tuple's
     length, so a binder always takes the next index, also when its name
-    shadows one already in ``slots``.  Both engines compile with it: a
-    wire term is a term over the wire variables.
+    shadows one already in ``slots``.  ``semint.int_term_denotation``
+    compiles with it too: a wire term is a term over the wire variables.
     """
     if isinstance(t, Var):
         i = slots[t.name]

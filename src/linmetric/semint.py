@@ -21,13 +21,15 @@ wires.  ``decompose`` computes them symbolically, with the same routing
 but its own account of each rule's feedback and cut wires;
 ``int_distance`` sums per-wire distances between two such
 decompositions.  A wire value is a plain number (R) or ``BOTTOM``, or
-``UNIT`` (I), as in the denotational model, and each wire term is
-compiled once by ``semden.compile_term`` into a closure that the
-distance search runs at every probe.  Where two wire terms differ only
-in literals and in symbols of the same arity (``dynamics.literal_diffs``),
-a wire's upper bound is the sum of the literal differences and the
-registry's symbol gaps; a sampled gap above that sum refutes a registry
-gap, which is a user error.  Nothing here keeps state between calls.
+``UNIT`` (I), as in the denotational model.  ``int_term_denotation``
+evaluates a wire term with ``semden.compile_term``; the distance search
+evaluates both terms of a wire with ``_stage``, column-wise over a batch
+of probe rows, each subterm once per value of the variables it reads.
+Where two wire terms differ only in literals and in symbols of the same
+arity (``dynamics.literal_diffs``), a wire's upper bound is the sum of
+the literal differences and the registry's symbol gaps; a sampled gap
+above that sum refutes a registry gap, which is a user error.  Nothing
+here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -527,50 +529,107 @@ def format_int_term(h: IntTerm, labels: dict[str, str] | None = None) -> str:
 # Distances between wire terms
 
 
+def _stage(h: IntTerm, slots: dict, registry: SymbolRegistry) -> tuple[int, Callable]:
+    """The level of a wire term and its column-wise evaluator.
+
+    Variable ``v`` is level ``slots[v]``; a term's level is the highest
+    level of its variables, -1 if none.  The evaluator maps a batch of
+    rows ``(cols, spread)`` to a column: ``cols[i]`` has one entry per
+    distinct value of variables ``0 .. i`` in the batch, and
+    ``spread(col, a, b)`` repeats a level-``a`` column to level ``b``.
+    So a symbol runs once per batch (Boncz et al. 2005) and value of the
+    variables it reads (Hughes 1983), unchecked on bounded probe values."""
+    if isinstance(h, Var):
+        i = slots[h.name]
+        return i, lambda cols, spread: cols[i]
+    if isinstance(h, (Const, Star)):
+        col = [UNIT if isinstance(h, Star) else h.value]
+        return -1, lambda cols, spread: col
+    if isinstance(h, FnApp):
+        f = registry.get(h.symbol).evaluator
+        args = [_stage(a, slots, registry) for a in h.args]
+        level = max(lev for lev, _ in args)
+
+        def run(cols, spread):
+            return list(map(f, *[spread(arg(cols, spread), lev, level) for lev, arg in args]))
+
+        return level, run
+    raise AssertionError(h)
+
+
+def _grid_batch(grid: list, k: int, start: int, end: int) -> tuple[list, Callable]:
+    """Rows ``start .. end - 1`` of ``itertools.product(grid, repeat=k)``
+    as a batch for ``_stage``'s evaluators: level ``i`` has one entry
+    per prefix ``lo[i] .. hi[i]`` of ``i + 1`` coordinates."""
+    g = len(grid)
+    lo = [start // g ** (k - 1 - i) for i in range(k)]
+    hi = [(end - 1) // g ** (k - 1 - i) for i in range(k)]
+    cols = [[grid[p % g] for p in range(lo[i], hi[i] + 1)] for i in range(k)]
+
+    def spread(col: list, a: int, b: int) -> list:
+        if a == b:
+            return col
+        if len(col) == 1:
+            return col * (hi[b] - lo[b] + 1)
+        m = g ** (b - a)  # level-b prefixes per level-a prefix; the batch cuts the first and last
+        counts = [m - lo[b] % m] + [m] * (len(col) - 2) + [hi[b] % m + 1]
+        return list(itertools.chain.from_iterable(map(itertools.repeat, col, counts)))
+
+    return cols, spread
+
+
 def _sampled_gap(
     h1: IntTerm, h2: IntTerm, battery: ProbeBattery, registry: SymbolRegistry, stop: float = INF
 ) -> float:
     """Max |h1 - h2| over battery assignments to the shared variables,
-    refined by a few rounds of local bisection per variable.
+    refined by a few rounds of local bisection per variable.  ``_stage``
+    evaluates grid rows in batches of 1, 1, 2, 4, ... and each variable's
+    four trials as one batch; the gaps are scanned row by row in order.
 
     Returns as soon as the best gap reaches ``stop``, in the grid and in
     the bisection rounds; the caller passes a bound its report clips the
     gap to, so the reported number is the same.  A caller that checks
     the gap against ``stop`` then sees only the samples up to the first
     one that reaches it: a later sample further above ``stop`` is not
-    evaluated."""
+    checked."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
     slots = {v: i for i, v in enumerate(vs)}
-    f1 = compile_term(h1, slots, len(vs), registry)
-    f2 = compile_term(h2, slots, len(vs), registry)
+    k = len(vs)
+    (l1, e1), (l2, e2) = _stage(h1, slots, registry), _stage(h2, slots, registry)
 
-    def gap(vals: tuple | list) -> float:
-        a, b = f1(vals), f2(vals)
-        if a is BOTTOM or b is BOTTOM or a is UNIT or b is UNIT:
-            return 0.0
-        return abs(a - b)
+    def gaps(cols: list, spread: Callable) -> list:
+        c1 = spread(e1(cols, spread), l1, k - 1)
+        c2 = spread(e2(cols, spread), l2, k - 1)
+        return [
+            0.0 if a is BOTTOM or b is BOTTOM or a is UNIT or b is UNIT else abs(a - b)
+            for a, b in zip(c1, c2)
+        ]
 
-    if not vs:
-        return gap(())
     grid = battery.reals[:16]
-    best, best_assign = 0.0, [0.0] * len(vs)
-    for combo in itertools.islice(itertools.product(grid, repeat=len(vs)), 4096):
-        g = gap(combo)
-        if g > best:
-            best, best_assign = g, combo
-            if best >= stop:
-                return best
+    rows = min(4096, len(grid) ** k)
+    best, best_row, start = 0.0, None, 0
+    while start < rows:
+        end = min(rows, max(1, 2 * start))
+        for row, g in enumerate(gaps(*_grid_batch(grid, k, start, end)), start):
+            if g > best:
+                best, best_row = g, row
+                if best >= stop:
+                    return best
+        start = end
+    n = len(grid)
+    best_assign = [0.0 if best_row is None else grid[best_row // n ** (k - 1 - i) % n] for i in range(k)]
     # coordinate descent with local bisection
     span = 8.0
     for _round in range(3):
-        for i in range(len(vs)):
+        for i in range(k):
             base = best_assign[i]
-            for cand in (base - span, base - span / 2, base + span / 2, base + span):
-                trial = list(best_assign)
-                trial[i] = cand
-                g = gap(trial)
+            cands = [base - span, base - span / 2, base + span / 2, base + span]
+            cols = [[x] * 4 for x in best_assign]
+            cols[i] = cands
+            # every variable at one level: a column has 4 entries, or 1 if constant
+            for cand, g in zip(cands, gaps(cols, lambda col, a, b: col * (4 // len(col)))):
                 if g > best:
-                    best, best_assign = g, trial
+                    best, best_assign[i] = g, cand
                     if best >= stop:
                         return best
         span /= 2

@@ -8,6 +8,7 @@ import pytest
 from linmetric.core import (
     Const,
     EMPTY_ENV,
+    EPS,
     INF,
     Pair,
     R,
@@ -26,6 +27,8 @@ from linmetric.gen import (
     admissibility_corpus,
     closed_observable_corpus,
     corpus_registry,
+    equal_variant,
+    mutate,
     typed_pair_corpus,
 )
 from linmetric.metrics import (
@@ -178,6 +181,47 @@ def test_ordering_report_is_symmetric(seed):
         assert numbers(ordering_report(env, ty, m, n, CFG)) == numbers(
             ordering_report(env, ty, n, m, CFG)
         ), (print_term(m), print_term(n))
+
+
+def _engine_bounds(env, ty, m, n):
+    """``ordering_report``'s numbers for one pair: obs, den and int as
+    ``(lo, hi)``, and equ's upper bound."""
+    got = ordering_report(env, ty, m, n, CFG)["metrics"]
+
+    def num(x):
+        return INF if x == "inf" else x
+
+    return {
+        "obs": num(got["obs"]["lo"]),
+        "den": (num(got["den"]["lo"]), num(got["den"]["hi"])),
+        "int": (num(got["int"]["lo"]), num(got["int"]["hi"])),
+        "equ": num(got["equ"]["hi"]),
+    }
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_triangle_law_on_mutated_triples(seed):
+    # P is a same-type mutant of N, so (M, N, P) share a site
+    rng = random.Random(seed)
+    for env, ty, m, n in typed_pair_corpus(seed, 60, REG):
+        p = mutate(rng, n)
+        mn, np_, mp = (_engine_bounds(env, ty, a, b) for a, b in ((m, n), (n, p), (m, p)))
+        where = (print_term(m), print_term(n), print_term(p))
+        for engine in ("den", "int"):
+            assert mp[engine][0] <= mn[engine][1] + np_[engine][1] + EPS, (engine, where)
+        assert mp["obs"] <= mn["equ"] + np_["equ"] + EPS, where
+
+
+def test_an_equal_variant_gives_overlapping_enclosures():
+    rng = random.Random(9)
+    for env, ty, m, n in typed_pair_corpus(9, 60, REG):
+        v = equal_variant(rng, m, ty, REG)
+        mn, vn = _engine_bounds(env, ty, m, n), _engine_bounds(env, ty, v, n)
+        where = (print_term(m), print_term(v), print_term(n))
+        for engine in ("den", "int"):
+            (lo1, hi1), (lo2, hi2) = mn[engine], vn[engine]
+            assert max(lo1, lo2) <= min(hi1, hi2) + EPS, (engine, where)
+        assert mn["obs"] <= vn["equ"] + EPS and vn["obs"] <= mn["equ"] + EPS, where
 
 
 def test_sandwich_obs_below_equ_on_corpus():

@@ -9,6 +9,7 @@ from linmetric.core import (
     EMPTY_ENV,
     FnApp,
     I,
+    INF,
     R,
     Star,
     RegistryError,
@@ -22,7 +23,8 @@ from linmetric.core import (
     parse_type,
     typecheck,
 )
-from linmetric.dynamics import beta_normalize, evaluate
+from linmetric.dynamics import beta_normalize, evaluate, literal_diffs
+from linmetric.gen import corpus_registry, typed_pair_corpus
 from linmetric.semden import BOTTOM, UNIT, PairVal, ProbeBattery, interp_den, sem_equal
 from linmetric.semint import (
     ModelError,
@@ -447,8 +449,9 @@ def test_a_refuted_literal_bound_stays_a_model_error(monkeypatch):
         first_order_distance(h1, h2, BATTERY, REG)
 
 
-def _reference_sampled_gap(h1, h2, battery, registry):
-    """_sampled_gap's search, evaluating each probe with int_term_denotation."""
+def _reference_sampled_gap(h1, h2, battery, registry, stop=INF):
+    """_sampled_gap's search, evaluating each probe with int_term_denotation
+    one row at a time, and returning once the best gap reaches ``stop``."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
 
     def gap(assign):
@@ -464,6 +467,8 @@ def _reference_sampled_gap(h1, h2, battery, registry):
         g = gap(assign)
         if g > best:
             best, best_assign = g, assign
+            if best >= stop:
+                return best
     span = 8.0
     for _round in range(3):
         for v in vs:
@@ -473,6 +478,8 @@ def _reference_sampled_gap(h1, h2, battery, registry):
                 g = gap(trial)
                 if g > best:
                     best, best_assign = g, trial
+                    if best >= stop:
+                        return best
         span /= 2
     return best
 
@@ -491,6 +498,74 @@ def test_sampled_gap_matches_reference_search():
     ]
     for h1, h2 in pairs:
         assert _sampled_gap(h1, h2, BATTERY, REG) == _reference_sampled_gap(h1, h2, BATTERY, REG)
+
+
+CORPUS_REG = corpus_registry()
+
+
+def _generated_wire_pairs():
+    """R wires of decompose over typed_pair_corpus that read at least 2
+    variables between them: the first 25 that read 2 or 3, and all that
+    read 4 or 5 (16**k rows then pass the cap) in 400 pairs."""
+    small, large = [], []
+    for env, ty, m, n in typed_pair_corpus(1, 400, CORPUS_REG):
+        hm, _ = decompose(env, beta_normalize(m), CORPUS_REG)
+        hn, _ = decompose(env, beta_normalize(n), CORPUS_REG)
+        for h1, h2, wt in zip(hm, hn, wire_signature(env, ty).out_types):
+            k = len(int_term_vars(h1) | int_term_vars(h2))
+            if wt == "R" and h1 != h2 and k >= 2:
+                (large if k >= 4 else small).append((h1, h2))
+    return small[:25] + large
+
+
+GENERATED_WIRES = _generated_wire_pairs()
+
+
+@pytest.mark.parametrize("draws", [25, 2])
+def test_sampled_gap_matches_reference_search_on_generated_wires(draws):
+    # with 2 draws the grid has 9 reals, and the cap cuts 9**4 rows in
+    # the middle of a block of the last variables
+    battery = ProbeBattery(CORPUS_REG, seed=0, draws=draws)
+    assert len(GENERATED_WIRES) >= 30
+    assert sum(len(int_term_vars(a) | int_term_vars(b)) >= 4 for a, b in GENERATED_WIRES) >= 5
+    for h1, h2 in GENERATED_WIRES:
+        got = _sampled_gap(h1, h2, battery, CORPUS_REG)
+        assert got == _reference_sampled_gap(h1, h2, battery, CORPUS_REG), (h1, h2)
+
+
+def test_sampled_gap_stops_where_the_reference_search_stops():
+    # the literal bound where every difference is a literal, and fractions
+    # of the full gap: a third is reached in the grid, 0.99 often only in
+    # the bisection; either may be reached part-way through a batch
+    for h1, h2 in GENERATED_WIRES:
+        full = _reference_sampled_gap(h1, h2, BATTERY, CORPUS_REG)
+        stops = [full / 3, full * 0.99]
+        diffs = literal_diffs(h1, h2)
+        if diffs is not None and all(not isinstance(a, str) for _, a, _ in diffs):
+            stops.append(sum(abs(a - b) for _, a, b in diffs))
+        for stop in stops:
+            want = _reference_sampled_gap(h1, h2, BATTERY, CORPUS_REG, stop)
+            assert _sampled_gap(h1, h2, BATTERY, CORPUS_REG, stop) == want, (h1, h2, stop)
+
+
+def test_sampled_gap_evaluates_a_subterm_once_per_value_of_its_variables():
+    calls = []
+
+    def sin(a):
+        calls.append(a)
+        return math.sin(a)
+
+    reg = SymbolRegistry(
+        [Symbol("add", 2, lambda a, b: a + b), Symbol("sin", 1, sin), Symbol("cos", 1, math.cos)]
+    )
+    x1, x2 = Var("x1"), Var("x2")
+    h1 = FnApp("add", (FnApp("sin", (x1,)), x2))
+    h2 = FnApp("add", (FnApp("cos", (x1,)), x2))
+    _sampled_gap(h1, h2, ProbeBattery(reg, seed=0), reg)
+    # the 256 grid rows come in batches of 1, 1, 2, 4, ..., 128 rows, and
+    # sin(x1) runs once per value of x1 in each: 6 * 1 + 2 + 4 + 8 = 20;
+    # the bisection then runs it on 2 variables * 4 trials * 3 rounds = 24
+    assert len(calls) == 20 + 24
 
 
 @pytest.mark.parametrize(
