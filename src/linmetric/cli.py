@@ -27,22 +27,28 @@ from .dynamics import beta_normalize, evaluate, is_beta_normal
 from .metrics import (
     EngineConfig,
     ObsBudget,
-    _enc,
     admissibility_suite,
     den_engine,
+    den_entry,
+    equ_entry,
     equ_upper_bound,
+    int_entry,
+    obs_entry,
     obs_lower_bound,
     ordering_report,
-    qderivation_to_dict,
 )
-from .semden import ProbeBattery
+from .semden import UNIT, ProbeBattery
 from .semint import (
     ModelError,
+    WireFunction,
     decompose,
     export_diagram,
     format_int_term,
     int_distance,
+    int_term_denotation,
     interp_int,
+    symmetry,
+    trace,
     wire_signature,
 )
 from . import gen
@@ -111,25 +117,16 @@ def cmd_dist(args) -> int:
         if not report["chain_ok"]:
             exit_code = INTERNAL_ERROR
     elif args.metric == "obs":
-        lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, registry)
-        report = {"obs": {"lo": _enc(lo), "witness": witness.to_dict()}}
+        report = {"obs": obs_entry(*obs_lower_bound(env, ty, m, n, cfg.budget, registry))}
     elif args.metric == "den":
-        d = den_engine(env, ty, m, n, cfg)
-        report = {"den": {"lo": _enc(d.lo), "hi": _enc(d.hi)}}
+        report = {"den": den_entry(den_engine(env, ty, m, n, cfg))}
     elif args.metric == "int":
-        d = int_distance(env, ty, m, n, cfg.battery, registry=registry)
-        report = {"int": {"lo": _enc(d.lo), "hi": _enc(d.hi), "normalized": d.normalized}}
+        report = {"int": int_entry(int_distance(env, ty, m, n, cfg.battery, registry=registry))}
     else:  # equ
-        hi, cert = equ_upper_bound(env, ty, m, n, registry)
-        report = {
-            "equ": {
-                "hi": _enc(hi),
-                "certificate": qderivation_to_dict(cert) if cert is not None else None,
-            }
-        }
+        report = {"equ": equ_entry(*equ_upper_bound(env, ty, m, n, registry))}
     try:
         text = json.dumps(report, sort_keys=True, indent=None if args.json else 2, allow_nan=False)
-    except ValueError as e:  # every number reaching a report should be finite or go through _enc
+    except ValueError as e:  # each report number should be finite or go through an entry builder
         raise ModelError(f"report is not valid JSON: {e}") from None
     print(text)
     return exit_code
@@ -171,8 +168,6 @@ def _check_ordering(args) -> tuple[int, str]:
 
 
 def _check_trace(args) -> tuple[int, str]:
-    from .semint import WireFunction, symmetry, trace
-
     rng = random.Random(args.seed)
     registry = gen.corpus_registry()
     failures = 0
@@ -197,20 +192,16 @@ def _check_decompose(args) -> tuple[int, str]:
     registry = gen.corpus_registry()
     rng = random.Random(args.seed)
     corpus = gen.beta_normal_corpus(args.seed, args.count, registry=registry)
-    from .semden import UNIT, compile_term
-
     failures = 0
     for env, ty, term in corpus:
         hs, _ = decompose(env, term, registry)
         wf = interp_int(env, term, registry)
         sig = wire_signature(env, ty)
-        slots = {f"x{i + 1}": i for i in range(sig.m)}  # wire x<i> is probe value i-1
-        codes = [compile_term(h, slots, sig.m, registry) for h in hs]
         for _ in range(50):
             ins = tuple(UNIT if t == "I" else rng.uniform(-20, 20) for t in sig.in_types)
-            got = wf(ins)
-            want = tuple(code(ins) for code in codes)
-            for a, b in zip(got, want):
+            assignment = {f"x{i + 1}": v for i, v in enumerate(ins)}
+            want = [int_term_denotation(h, assignment, registry) for h in hs]
+            for a, b in zip(wf(ins), want):
                 if a is UNIT or b is UNIT:
                     if a is not b:
                         failures += 1

@@ -34,6 +34,7 @@ from .core import (
     children,
     default_registry,
     free_vars,
+    print_term,
     rebuild,
     term_size,
 )
@@ -393,8 +394,6 @@ def _mask_literals(t: Term) -> Term:
 def _let_sort_key(t: Term) -> tuple[str, str]:
     # primary key ignores literal values so that two terms differing only
     # in literals order their independent lets identically
-    from .core import print_term
-
     binders, scrut, _ = _let_parts(t)
     return print_term(_mask_literals(scrut)), print_term(scrut)
 

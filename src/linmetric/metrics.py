@@ -660,6 +660,25 @@ def _enc(x: float):
     return "inf" if x == INF else x
 
 
+# Each engine's report entry, for ``ordering_report`` and ``dist --metric``
+
+
+def obs_entry(lo: float, witness: ObsWitness) -> dict:
+    return {"lo": _enc(lo), "witness": witness.to_dict()}
+
+
+def den_entry(d: DistInterval) -> dict:
+    return {"lo": _enc(d.lo), "hi": _enc(d.hi)}
+
+
+def int_entry(d: DistInterval) -> dict:
+    return {"lo": _enc(d.lo), "hi": _enc(d.hi), "normalized": d.normalized}
+
+
+def equ_entry(hi: float, cert: Optional[QDerivation]) -> dict:
+    return {"hi": _enc(hi), "certificate": qderivation_to_dict(cert) if cert is not None else None}
+
+
 def ordering_report(
     env: Env,
     ty: Ty,
@@ -701,13 +720,10 @@ def ordering_report(
             "N": print_term(n),
         },
         "metrics": {
-            "obs": {"lo": _enc(obs_lo), "witness": witness.to_dict()},
-            "den": {"lo": _enc(den.lo), "hi": _enc(den.hi)},
-            "int": {"lo": _enc(ints.lo), "hi": _enc(ints.hi), "normalized": ints.normalized},
-            "equ": {
-                "hi": _enc(equ_hi),
-                "certificate": qderivation_to_dict(cert) if cert is not None else None,
-            },
+            "obs": obs_entry(obs_lo, witness),
+            "den": den_entry(den),
+            "int": int_entry(ints),
+            "equ": equ_entry(equ_hi, cert),
         },
         "chain_ok": chain_ok,
     }

@@ -63,7 +63,9 @@ from .core import (
     default_registry,
     is_observable,
     is_one_point,
+    typecheck,
 )
+from .dynamics import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +594,11 @@ def den_distance(
     """
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)
-    from .core import typecheck
-
     if typecheck(env, m, registry) != ty or typecheck(env, n, registry) != ty:
         raise TypeError_("den_distance: terms do not have the stated type")
     if is_one_point(ty):
         return DistInterval(0.0, 0.0)
     if len(env) == 0 and is_observable(ty):
-        from .dynamics import evaluate
-
         d = ground_l1(evaluate(m, registry), evaluate(n, registry), ty)
         return DistInterval(d, d, lo_witness=LoWitness((), ()))
     points = battery.env_samples(env)

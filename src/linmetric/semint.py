@@ -7,9 +7,13 @@ the inputs, the negative atoms of Γ plus the positive atoms of σ are the
 outputs, enumerated left to right.  R-wires carry a real or a bottom
 element; I-wires carry the one-point domain.
 
-Composition (application, pair destruction) feeds wires back through a
-least-fixpoint trace over the flat wire domains, so every feedback loop
-converges in at most ``width + 1`` rounds.
+A rule with premises composes them in one of two shapes.  Side by side
+(symbol application, pairs, ``let *``) runs the premises apart and
+combines their results.  A cut (application, ``let (x)``) joins the
+premise that produces a type to the one that consumes it, and feeds the
+wires between them back through a least-fixpoint trace over the flat
+wire domains, so every feedback loop converges in at most ``width + 1``
+rounds.
 
 A strategy is built once per typing derivation: ``_routes`` works out
 which input wires each premise reads and where the premises'
@@ -18,7 +22,7 @@ environment outputs go, so a step only indexes tuples.
 For a beta-normal term the whole strategy is equivalent to a tuple of
 first-order terms, one per output wire, over variables naming the input
 wires.  ``decompose`` computes them symbolically, with the same routing
-but its own account of each rule's feedback and cut wires;
+but its own account of the two shapes, with cut wires in place of feedback;
 ``int_distance`` sums per-wire distances between two such
 decompositions.  A wire value is a plain number (R) or ``BOTTOM``, or
 ``UNIT`` (I), as in the denotational model.  ``int_term_denotation``
@@ -48,7 +52,6 @@ from .core import (
     FnApp,
     INF,
     Lam,
-    LetPair,
     LetStar,
     ModelError,
     Pair,
@@ -57,8 +60,6 @@ from .core import (
     STAR,
     SymbolRegistry,
     Term,
-    TLolli,
-    TTensor,
     Ty,
     TypeError_,
     Var,
@@ -257,119 +258,79 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
         inner = _interp(d.children[0], reg)
         return WireFunction(sig.in_types, sig.out_types, inner.step)
 
+    subs = [_interp(c, reg) for c in d.children]
+    pos_idx, ks, gather = _routes(d)
+    t_neg = list(range(sig.m - len(neg_atoms(ty)), sig.m))  # the node's negative inputs
+    # premise k reads its environment inputs, then extra[k]
+    if isinstance(t, (FnApp, Pair, LetStar)):
+        # side by side: its share of t_neg (none for a symbol's argument, all for a body)
+        share = iter(t_neg)
+        extra = [list(itertools.islice(share, len(neg_atoms(c.ty)))) for c in d.children]
+    else:
+        # cut: the producer p of sigma reads the sigma-negative feedback
+        # wires, its consumer c the sigma-positive ones, then t_neg; the
+        # feedback wires follow the node's inputs
+        p, c = (1, 0) if isinstance(t, App) else (0, 1)
+        sigma = d.children[p].ty
+        z_types = pos_atoms(sigma) + neg_atoms(sigma)
+        sn = len(neg_atoms(sigma))
+        z = list(range(sig.m, sig.m + len(z_types)))
+        c_pos, c_neg = z[: len(z) - sn], z[len(z) - sn:]
+        extra = [c_neg, c_pos + t_neg] if c else [c_pos + t_neg, c_neg]
+    parts = [(w, pos + x) for w, pos, x in zip(subs, pos_idx, extra)]
+    # the premises' outputs laid end to end: each one's environment outputs, then its results
+    env_out, results, s = [], [], 0
+    for w, k in zip(subs, ks):
+        env_out += range(s, s + k)
+        results.append(list(range(s + k, s + len(w.out_types))))
+        s += len(w.out_types)
+    env_out = [env_out[g] for g in gather]
+
+    def premises(x: tuple) -> tuple:
+        flat: tuple = ()
+        for wf, ix in parts:
+            flat += wf(tuple([x[i] for i in ix]))
+        return flat
+
     if isinstance(t, FnApp):
-        subs = [_interp(c, reg) for c in d.children]
-        pos_idx, _, gather = _routes(d)
         sym = reg.get(t.symbol).evaluator
+        args = [r[0] for r in results]
 
         def step(inputs: tuple) -> tuple:
-            negs: tuple = ()
-            results = []
-            for wf, idxs in zip(subs, pos_idx):
-                out = wf(tuple(inputs[i] for i in idxs))
-                negs += out[:-1]
-                results.append(out[-1])
-            if any(r is BOTTOM for r in results):
-                r = BOTTOM
-            else:
-                r = sym(*results)
-            return tuple(negs[i] for i in gather) + (r,)
+            flat = premises(inputs)
+            vals = [flat[i] for i in args]
+            r = BOTTOM if any(v is BOTTOM for v in vals) else sym(*vals)
+            return tuple([flat[i] for i in env_out]) + (r,)
 
         return WireFunction(sig.in_types, sig.out_types, step)
 
+    outputs = premises
     if isinstance(t, Pair):
-        dl, dr = d.children
-        wl, wr = _interp(dl, reg), _interp(dr, reg)
-        (li, ri), (kl, kr), gather = _routes(d)
-        nl = len(neg_atoms(dl.ty))
-        nr = len(neg_atoms(dr.ty))
+        keep = env_out + results[0] + results[1]
+    elif isinstance(t, LetStar):
+        keep = env_out + results[1]
+    else:
+        # p's results are sigma's positive atoms, c's start with its negative ones
+        feedback = results[p] + results[c][:sn]
+        keep = env_out + results[c][sn:]
 
-        def step(inputs: tuple) -> tuple:
-            ret_neg = inputs[len(inputs) - nl - nr:]
-            out_l = wl(tuple(inputs[i] for i in li) + ret_neg[:nl])
-            out_r = wr(tuple(inputs[i] for i in ri) + ret_neg[nl:])
-            negs = out_l[:kl] + out_r[:kr]
-            return tuple(negs[i] for i in gather) + out_l[kl:] + out_r[kr:]
-
-        return WireFunction(sig.in_types, sig.out_types, step)
-
-    if isinstance(t, App):
-        df, da = d.children
-        wf_, wa = _interp(df, reg), _interp(da, reg)
-        assert isinstance(df.ty, TLolli)
-        sigma = df.ty.arg
-        sp = pos_atoms(sigma)
-        sn = neg_atoms(sigma)
-        (fi, ai), (kf, ka), gather = _routes(d)
-        ret_neg_len = len(neg_atoms(ty))
-
-        def step(inputs: tuple) -> tuple:
-            t_neg = inputs[len(inputs) - ret_neg_len:]
-            f_in = tuple(inputs[i] for i in fi)
-            a_in = tuple(inputs[i] for i in ai)
-            state = {}
+        def outputs(inputs: tuple) -> tuple:
+            # the premises' outputs at the least fixpoint of the feedback wires
+            flat: tuple = ()
 
             def advance(z: tuple) -> tuple:
-                s_pos, s_neg = z[: len(sp)], z[len(sp):]
-                out_f = wf_(f_in + s_pos + t_neg)
-                out_a = wa(a_in + s_neg)
-                state["f"], state["a"] = out_f, out_a
-                return out_a[ka:] + out_f[kf: kf + len(sn)]
+                nonlocal flat
+                flat = premises(inputs + z)
+                return tuple([flat[i] for i in feedback])
 
-            _iterate_feedback(advance, tuple(sp) + tuple(sn))
-            out_f, out_a = state["f"], state["a"]
-            negs = out_f[:kf] + out_a[:ka]
-            return tuple(negs[i] for i in gather) + out_f[kf + len(sn):]
+            _iterate_feedback(advance, z_types)
+            return flat
 
-        return WireFunction(sig.in_types, sig.out_types, step)
+    def step(inputs: tuple) -> tuple:
+        flat = outputs(inputs)
+        return tuple([flat[i] for i in keep])
 
-    if isinstance(t, LetStar):
-        ds, db = d.children
-        ws, wb = _interp(ds, reg), _interp(db, reg)
-        (si, bi), (ks, kb), gather = _routes(d)
-        ret_neg_len = len(neg_atoms(ty))
-
-        def step(inputs: tuple) -> tuple:
-            t_neg = inputs[len(inputs) - ret_neg_len:]
-            out_s = ws(tuple(inputs[i] for i in si))
-            out_b = wb(tuple(inputs[i] for i in bi) + t_neg)
-            negs = out_s[:ks] + out_b[:kb]
-            return tuple(negs[i] for i in gather) + out_b[kb:]
-
-        return WireFunction(sig.in_types, sig.out_types, step)
-
-    if isinstance(t, LetPair):
-        ds, db = d.children
-        ws, wb = _interp(ds, reg), _interp(db, reg)
-        assert isinstance(ds.ty, TTensor)
-        sp = pos_atoms(ds.ty)
-        sn = neg_atoms(ds.ty)
-        # body env is (Δ', x:σ1, y:σ2); kb counts Δ' only, and the cut
-        # wires of x, y follow Δ' on both sides of the body
-        (si, bi), (ks, kb), gather = _routes(d)
-        ret_neg_len = len(neg_atoms(ty))
-
-        def step(inputs: tuple) -> tuple:
-            t_neg = inputs[len(inputs) - ret_neg_len:]
-            s_in = tuple(inputs[i] for i in si)
-            b_in = tuple(inputs[i] for i in bi)
-            state = {}
-
-            def advance(z: tuple) -> tuple:
-                c_pos, c_neg = z[: len(sp)], z[len(sp):]
-                out_s = ws(s_in + c_neg)
-                out_b = wb(b_in + c_pos + t_neg)
-                state["s"], state["b"] = out_s, out_b
-                return out_s[ks:] + out_b[kb: kb + len(sn)]
-
-            _iterate_feedback(advance, tuple(sp) + tuple(sn))
-            out_s, out_b = state["s"], state["b"]
-            negs = out_s[:ks] + out_b[:kb]
-            return tuple(negs[i] for i in gather) + out_b[kb + len(sn):]
-
-        return WireFunction(sig.in_types, sig.out_types, step)
-
-    raise AssertionError(t)
+    return WireFunction(sig.in_types, sig.out_types, step)
 
 
 # ---------------------------------------------------------------------------
@@ -418,65 +379,37 @@ class _Decomposer:
             return [STAR]
         if isinstance(t, Lam):
             return self.go(d.children[0], inputs)
+        pos_idx, ks, gather = _routes(d)
+        t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
+        # premise k reads its environment inputs, then extra[k]
+        if isinstance(t, (FnApp, Pair, LetStar)):
+            # side by side: its share of t_neg (none for a symbol's argument, all for a body)
+            share = iter(t_neg)
+            extra = [list(itertools.islice(share, len(neg_atoms(c.ty)))) for c in d.children]
+        else:
+            # cut: the producer p of sigma reads the sigma-negative cut wires,
+            # its consumer c the sigma-positive ones, then t_neg
+            p, c = (1, 0) if isinstance(t, App) else (0, 1)
+            sigma = d.children[p].ty
+            c_pos, c_neg = self.cut(len(pos_atoms(sigma))), self.cut(len(neg_atoms(sigma)))
+            extra = [c_neg, c_pos + t_neg] if c else [c_pos + t_neg, c_neg]
+        negs, rs = [], []
+        for child, pos, x, k in zip(d.children, pos_idx, extra, ks):
+            out = self.go(child, [inputs[i] for i in pos] + x)
+            negs += out[:k]
+            rs.append(out[k:])
         if isinstance(t, FnApp):
-            pos_idx, _, gather = _routes(d)
-            negs: list[IntTerm] = []
-            heads = []
-            for child, idxs in zip(d.children, pos_idx):
-                out = self.go(child, [inputs[i] for i in idxs])
-                negs += out[:-1]
-                heads.append(out[-1])
-            return [negs[i] for i in gather] + [FnApp(t.symbol, tuple(heads))]
-        if isinstance(t, Pair):
-            dl, dr = d.children
-            (li, ri), (kl, kr), gather = _routes(d)
-            nl = len(neg_atoms(dl.ty))
-            nr = len(neg_atoms(dr.ty))
-            ret_neg = inputs[len(inputs) - nl - nr:]
-            out_l = self.go(dl, [inputs[i] for i in li] + ret_neg[:nl])
-            out_r = self.go(dr, [inputs[i] for i in ri] + ret_neg[nl:])
-            negs = out_l[:kl] + out_r[:kr]
-            return [negs[i] for i in gather] + out_l[kl:] + out_r[kr:]
-        if isinstance(t, App):
-            df, da = d.children
-            sigma = df.ty.arg  # type: ignore[union-attr]
-            sp, sn = pos_atoms(sigma), neg_atoms(sigma)
-            (fi, ai), (kf, ka), gather = _routes(d)
-            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
-            c_pos = self.cut(len(sp))
-            c_neg = self.cut(len(sn))
-            out_f = self.go(df, [inputs[i] for i in fi] + c_pos + t_neg)
-            out_a = self.go(da, [inputs[i] for i in ai] + c_neg)
-            for ph, val in zip(c_neg, out_f[kf: kf + len(sn)]):
+            res = [FnApp(t.symbol, tuple([r[0] for r in rs]))]
+        elif isinstance(t, Pair):
+            res = rs[0] + rs[1]
+        elif isinstance(t, LetStar):
+            res = rs[1]
+        else:
+            # p's results are sigma's positive atoms, c's start with its negative ones
+            for ph, val in zip(c_pos + c_neg, rs[p] + rs[c]):
                 self.define(ph, val)
-            for ph, val in zip(c_pos, out_a[ka:]):
-                self.define(ph, val)
-            negs = out_f[:kf] + out_a[:ka]
-            return [negs[i] for i in gather] + out_f[kf + len(sn):]
-        if isinstance(t, LetStar):
-            ds, db = d.children
-            (si, bi), (ks, kb), gather = _routes(d)
-            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
-            out_s = self.go(ds, [inputs[i] for i in si])
-            out_b = self.go(db, [inputs[i] for i in bi] + t_neg)
-            negs = out_s[:ks] + out_b[:kb]
-            return [negs[i] for i in gather] + out_b[kb:]
-        if isinstance(t, LetPair):
-            ds, db = d.children
-            sp, sn = pos_atoms(ds.ty), neg_atoms(ds.ty)
-            (si, bi), (ks, kb), gather = _routes(d)
-            t_neg = inputs[len(inputs) - len(neg_atoms(ty)):]
-            c_pos = self.cut(len(sp))
-            c_neg = self.cut(len(sn))
-            out_s = self.go(ds, [inputs[i] for i in si] + c_neg)
-            out_b = self.go(db, [inputs[i] for i in bi] + c_pos + t_neg)
-            for ph, val in zip(c_pos, out_s[ks:]):
-                self.define(ph, val)
-            for ph, val in zip(c_neg, out_b[kb: kb + len(sn)]):
-                self.define(ph, val)
-            negs = out_s[:ks] + out_b[:kb]
-            return [negs[i] for i in gather] + out_b[kb + len(sn):]
-        raise AssertionError(t)
+            res = rs[c][len(c_neg):]
+        return [negs[i] for i in gather] + res
 
 
 def decompose(

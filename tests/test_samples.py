@@ -85,3 +85,28 @@ def test_readme_wires_line(capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "H1=y  H2=0  H3=2  H4=f(x, z)"
+
+
+SAMPLE_PAIRS = [
+    ("k2.lin", "k3.lin", ["--env", "k:R -o I"]),
+    ("l0.lin", "l1.lin", ["--symbols", str(SAMPLES / "registry_const.json")]),
+    ("ma0.lin", "ma1.lin", []),
+    (
+        "wire_m.lin",
+        "wire_n.lin",
+        ["--env", "x:R -o R, y:R -o R, z:R -o R", "--symbols", str(SAMPLES / "registry_fg.json")],
+    ),
+]
+
+
+@pytest.mark.parametrize("m, n, options", SAMPLE_PAIRS)
+def test_each_metric_alone_prints_its_entry_of_the_full_report(m, n, options, capsys):
+    def dist(metric: str) -> str:
+        args = ["dist", str(SAMPLES / m), str(SAMPLES / n), *options, "--metric", metric, "--json"]
+        assert main(args) == 0
+        return capsys.readouterr().out
+
+    full = json.loads(dist("all"))
+    for metric in ("obs", "den", "int", "equ"):
+        want = json.dumps({metric: full["metrics"][metric]}, sort_keys=True)
+        assert dist(metric) == want + "\n", metric

@@ -231,6 +231,35 @@ def test_interp_open_function_wires():
     assert wf((10.0,)) == (3.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "env_text, text, outputs, evaluations",
+    [
+        ("h:(R -o R) -o R", r"h (\v:R. f(v))", (1.5, 1.5), 2),
+        ("p:(R -o R) (x) R", "let g (x) y = p in f(g (f(y)))", (2.5, 1.5), 6),
+        ("", r"(\x:(R -o R). x (f(1.0))) (\v:R. f(v))", (3.0,), 8),
+        ("k:R -o I, j:I -o R", "let * = k (f(2.0)) in f(j (*))", (3.0, UNIT, 2.5), 3),
+    ],
+)
+def test_feedback_rounds_evaluate_each_symbol_a_fixed_number_of_times(
+    env_text, text, outputs, evaluations
+):
+    # every feedback round re-runs both sides of a cut, so these counts
+    # pin how many rounds one strategy call takes
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return a + 1.0
+
+    reg = SymbolRegistry([Symbol("f", 1, f)])
+    env = parse_env(env_text) if env_text else EMPTY_ENV
+    m = parse_term(text, reg)
+    wf = interp_int(env, m, reg)
+    in_types = wire_signature(env, typecheck(env, m, reg)).in_types
+    assert wf(tuple(UNIT if t == "I" else 0.5 + i for i, t in enumerate(in_types))) == outputs
+    assert len(calls) == evaluations
+
+
 # -- decomposition -----------------------------------------------------------------
 
 
