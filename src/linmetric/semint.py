@@ -17,7 +17,9 @@ rounds.
 
 A strategy is built once per typing derivation: ``_routes`` works out
 which input wires each premise reads and where the premises'
-environment outputs go, so a step only indexes tuples.
+environment outputs go, and the widths are checked then, so a step only
+indexes tuples and calls its premises' steps bare; ``interp_int`` wraps
+the whole strategy in one ``WireFunction``, which checks outside calls.
 
 For a beta-normal term the whole strategy is equivalent to a tuple of
 first-order terms, one per output wire, over variables naming the input
@@ -96,29 +98,20 @@ class WireSignature:
     out_labels: tuple[str, ...]
 
 
+def _wire_types(env: Env, ty: Ty) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Input and output wire types of ``env ⊢ _ : ty``, without labels."""
+    ins = tuple(a for _, t in env for a in pos_atoms(t)) + neg_atoms(ty)
+    return ins, tuple(a for _, t in env for a in neg_atoms(t)) + pos_atoms(ty)
+
+
 def wire_signature(env: Env, ty: Ty) -> WireSignature:
-    in_types: list[str] = []
-    in_labels: list[str] = []
-    out_types: list[str] = []
-    out_labels: list[str] = []
-    for name, t in env:
-        atoms = pos_atoms(t)
-        in_types += atoms
-        in_labels += _block_labels(name, atoms)
-    ret_neg = neg_atoms(ty)
-    in_types += ret_neg
-    in_labels += _block_labels("ret", ret_neg)
-    for name, t in env:
-        atoms = neg_atoms(t)
-        out_types += atoms
-        out_labels += _block_labels(name, atoms)
-    ret_pos = pos_atoms(ty)
-    out_types += ret_pos
-    out_labels += _block_labels("ret", ret_pos)
+    in_types, out_types = _wire_types(env, ty)
+    in_labels = [x for name, t in env for x in _block_labels(name, pos_atoms(t))]
+    out_labels = [x for name, t in env for x in _block_labels(name, neg_atoms(t))]
     return WireSignature(
-        len(in_types), len(out_types),
-        tuple(in_types), tuple(out_types),
-        tuple(in_labels), tuple(out_labels),
+        len(in_types), len(out_types), in_types, out_types,
+        tuple(in_labels + _block_labels("ret", neg_atoms(ty))),
+        tuple(out_labels + _block_labels("ret", pos_atoms(ty))),
     )
 
 
@@ -208,7 +201,7 @@ def symmetry(types: tuple[str, ...], k: int) -> WireFunction:
 def interp_int(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) -> WireFunction:
     registry = registry if registry is not None else default_registry()
     d = derive(env, term, registry)
-    return _interp(d, registry)
+    return WireFunction(*_wire_types(env, d.ty), _interp(d, registry)[0])
 
 
 def _routes(d: Derivation) -> tuple[list[list[int]], list[int], list[int]]:
@@ -236,31 +229,37 @@ def _routes(d: Derivation) -> tuple[list[list[int]], list[int], list[int]]:
     return pos, [len(block) for block in neg], gather
 
 
-def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
-    t, env, ty = d.term, d.env, d.ty
-    sig = wire_signature(env, ty)
+def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple], int, int]:
+    """The bare step of ``d``'s strategy, and its input and output widths.
+
+    Steps call their premises' steps unchecked: each node's widths are
+    checked here, once, and a mismatch is a ``ModelError``."""
+    t, ty = d.term, d.ty
+    m, n = map(len, _wire_types(d.env, ty))
+
+    def check(what: str, got: int, want: int) -> None:
+        if got != want:
+            raise ModelError(f"{type(t).__name__} node: {what} has {got} wires, expected {want}")
 
     if isinstance(t, Var):
         p = len(pos_atoms(ty))
+        check("result", m, n)
+        return (lambda inputs: inputs[p:] + inputs[:p]), m, n
 
-        def step(inputs: tuple) -> tuple:
-            return inputs[p:] + inputs[:p]
-
-        return WireFunction(sig.in_types, sig.out_types, step)
-
-    if isinstance(t, Const):
-        return WireFunction(sig.in_types, sig.out_types, lambda _i, _a=t.value: (_a,))
-
-    if isinstance(t, Star):
-        return WireFunction(sig.in_types, sig.out_types, lambda _i: (UNIT,))
-
-    if isinstance(t, Lam):
-        inner = _interp(d.children[0], reg)
-        return WireFunction(sig.in_types, sig.out_types, inner.step)
+    if isinstance(t, (Const, Star)):
+        check("result", 1, n)
+        out = (UNIT if isinstance(t, Star) else t.value,)
+        return (lambda _i: out), m, n
 
     subs = [_interp(c, reg) for c in d.children]
+    if isinstance(t, Lam):
+        (body, k, width), = subs
+        check("body input", m, k)
+        check("result", width, n)
+        return body, m, n
+
     pos_idx, ks, gather = _routes(d)
-    t_neg = list(range(sig.m - len(neg_atoms(ty)), sig.m))  # the node's negative inputs
+    t_neg = list(range(m - len(neg_atoms(ty)), m))  # the node's negative inputs
     # premise k reads its environment inputs, then extra[k]
     if isinstance(t, (FnApp, Pair, LetStar)):
         # side by side: its share of t_neg (none for a symbol's argument, all for a body)
@@ -274,27 +273,29 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
         sigma = d.children[p].ty
         z_types = pos_atoms(sigma) + neg_atoms(sigma)
         sn = len(neg_atoms(sigma))
-        z = list(range(sig.m, sig.m + len(z_types)))
+        z = list(range(m, m + len(z_types)))
         c_pos, c_neg = z[: len(z) - sn], z[len(z) - sn:]
         extra = [c_neg, c_pos + t_neg] if c else [c_pos + t_neg, c_neg]
-    parts = [(w, pos + x) for w, pos, x in zip(subs, pos_idx, extra)]
+    parts = [(step, pos + x) for (step, _, _), pos, x in zip(subs, pos_idx, extra)]
     # the premises' outputs laid end to end: each one's environment outputs, then its results
     env_out, results, s = [], [], 0
-    for w, k in zip(subs, ks):
+    for (_, k_in, k_out), k, (_, ix) in zip(subs, ks, parts):
+        check("premise input", len(ix), k_in)
         env_out += range(s, s + k)
-        results.append(list(range(s + k, s + len(w.out_types))))
-        s += len(w.out_types)
+        results.append(list(range(s + k, s + k_out)))
+        s += k_out
     env_out = [env_out[g] for g in gather]
 
     def premises(x: tuple) -> tuple:
         flat: tuple = ()
-        for wf, ix in parts:
-            flat += wf(tuple([x[i] for i in ix]))
+        for step, ix in parts:
+            flat += step(tuple([x[i] for i in ix]))
         return flat
 
     if isinstance(t, FnApp):
         sym = reg.get(t.symbol).evaluator
         args = [r[0] for r in results]
+        check("result", len(env_out) + 1, n)
 
         def step(inputs: tuple) -> tuple:
             flat = premises(inputs)
@@ -302,7 +303,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
             r = BOTTOM if any(v is BOTTOM for v in vals) else sym(*vals)
             return tuple([flat[i] for i in env_out]) + (r,)
 
-        return WireFunction(sig.in_types, sig.out_types, step)
+        return step, m, n
 
     outputs = premises
     if isinstance(t, Pair):
@@ -325,12 +326,13 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> WireFunction:
 
             _iterate_feedback(advance, z_types)
             return flat
+    check("result", len(keep), n)
 
     def step(inputs: tuple) -> tuple:
         flat = outputs(inputs)
         return tuple([flat[i] for i in keep])
 
-    return WireFunction(sig.in_types, sig.out_types, step)
+    return step, m, n
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +426,14 @@ def decompose(
     registry = registry if registry is not None else default_registry()
     if not is_beta_normal(term):
         raise ModelError("decompose requires a beta-normal term")
-    d = derive(env, term, registry)
-    sig = wire_signature(env, d.ty)
+    return _decompose(derive(env, term, registry), registry)
+
+
+def _decompose(d: Derivation, registry: SymbolRegistry) -> tuple[list[IntTerm], list[frozenset[int]]]:
+    """``decompose`` on the derivation of a beta-normal term."""
     dec = _Decomposer(registry)
-    inputs: list[IntTerm] = [Var(f"x{i + 1}") for i in range(sig.m)]
-    outs = dec.go(d, inputs)
-    resolved = [dec.resolve(h) for h in outs]
+    inputs: list[IntTerm] = [Var(f"x{i + 1}") for i in range(len(_wire_types(d.env, d.ty)[0]))]
+    resolved = [dec.resolve(h) for h in dec.go(d, inputs)]
     partition = []
     seen: set[str] = set()
     for h in resolved:
@@ -619,20 +623,19 @@ def int_distance(
     """
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)
-    tym = derive(env, m, registry).ty
-    tyn = derive(env, n, registry).ty
-    if tym != ty or tyn != ty:
+    dm, dn = derive(env, m, registry), derive(env, n, registry)
+    if dm.ty != ty or dn.ty != ty:
         raise TypeError_("type mismatch in int_distance")
+    # a beta-normal term is decomposed on its check derivation, a normalized one derived again
     normalized = False
     if not is_beta_normal(m):
-        m, normalized = beta_normalize(m), True
+        dm, normalized = derive(env, beta_normalize(m), registry), True
     if not is_beta_normal(n):
-        n, normalized = beta_normalize(n), True
-    hm, _ = decompose(env, m, registry)
-    hn, _ = decompose(env, n, registry)
-    sig = wire_signature(env, ty)
+        dn, normalized = derive(env, beta_normalize(n), registry), True
+    hm, _ = _decompose(dm, registry)
+    hn, _ = _decompose(dn, registry)
     total = DistInterval(0.0, 0.0)
-    for h1, h2, wt in zip(hm, hn, sig.out_types):
+    for h1, h2, wt in zip(hm, hn, _wire_types(env, ty)[1]):
         total = total + first_order_distance(h1, h2, battery, registry, wire_type=wt)
     return DistInterval(total.lo, total.hi, normalized=normalized)
 
@@ -654,7 +657,7 @@ def export_diagram(env: Env, term: Term, registry: Optional[SymbolRegistry] = No
         term, normalized = beta_normalize(term), True
     d = derive(env, term, registry)
     sig = wire_signature(env, d.ty)
-    hs, _ = decompose(env, term, registry)
+    hs, _ = _decompose(d, registry)
     labels = {f"x{i + 1}": sig.in_labels[i] for i in range(sig.m)}
 
     lines = ["digraph wires {", "  rankdir=LR;", '  node [fontname="Courier"];']

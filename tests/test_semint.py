@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linmetric.core import (
     Const,
@@ -15,16 +17,19 @@ from linmetric.core import (
     RegistryError,
     Symbol,
     SymbolRegistry,
+    TypeError_,
     Var,
     default_registry,
+    derive,
     env_of,
     parse_env,
     parse_term,
     parse_type,
+    term_size,
     typecheck,
 )
 from linmetric.dynamics import beta_normalize, evaluate, literal_diffs
-from linmetric.gen import corpus_registry, typed_pair_corpus
+from linmetric.gen import corpus_registry, gen_feasible_pair_site, gen_term, typed_pair_corpus
 from linmetric.semden import BOTTOM, UNIT, PairVal, ProbeBattery, interp_den, sem_equal
 from linmetric.semint import (
     ModelError,
@@ -34,6 +39,7 @@ from linmetric.semint import (
     first_order_distance,
     format_int_term,
     int_distance,
+    _interp,
     _sampled_gap,
     int_term_denotation,
     int_term_vars,
@@ -260,6 +266,58 @@ def test_feedback_rounds_evaluate_each_symbol_a_fixed_number_of_times(
     assert len(calls) == evaluations
 
 
+@pytest.mark.parametrize(
+    "env_text, text, child, ty_text, check",
+    [
+        # y's new type has as many input as output wires, so y's own node
+        # checks out, but the cut now routes 3 wires to k, which reads 2
+        ("k:R -o R, y:R", "k y", 1, "R (x) (R -o R)", "premise input"),
+        # the pair's premises check out, but it yields 2 wires for 1
+        ("y:R, z:R", "let a (x) b = y * z in b * a", 0, "R", "result"),
+    ],
+)
+def test_a_mis_routed_strategy_node_fails_when_built(env_text, text, child, ty_text, check):
+    env = parse_env(env_text)
+    d = derive(env, parse_term(text), REG)
+    children = list(d.children)
+    children[child] = dataclasses.replace(children[child], ty=parse_type(ty_text))
+    with pytest.raises(ModelError, match=check):
+        _interp(dataclasses.replace(d, children=tuple(children)), REG)
+    # the strategy itself is still checked on every outside call
+    wf = interp_int(env, parse_term(text))
+    with pytest.raises(TypeError_):
+        wf((1.0,) * (len(wf.in_types) + 1))
+
+
+CORPUS_REG = corpus_registry()
+
+
+def _outputs_agree(got: tuple, want: tuple) -> bool:
+    return len(got) == len(want) and all(
+        a is b if a is UNIT or b is UNIT or a is BOTTOM or b is BOTTOM else abs(a - b) <= 1e-9
+        for a, b in zip(got, want)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_strategy_agrees_with_decomposition_on_generated_terms(rng):
+    # terms as gen.beta_normal_corpus draws them, with hypothesis's
+    # choices in place of a seeded generator so a failure shrinks
+    env, ty = gen_feasible_pair_site(rng)
+    try:
+        term = beta_normalize(gen_term(rng, env, ty, CORPUS_REG, fuel=rng.randint(2, 6)))
+    except ValueError:
+        assume(False)
+    assume(term_size(term) <= 25)
+    hs, _ = decompose(env, term, CORPUS_REG)
+    wf = interp_int(env, term, CORPUS_REG)
+    for _ in range(5):
+        ins = tuple(UNIT if t == "I" else rng.uniform(-20, 20) for t in wf.in_types)
+        assign = {f"x{i + 1}": v for i, v in enumerate(ins)}
+        assert _outputs_agree(wf(ins), tuple(int_term_denotation(h, assign, CORPUS_REG) for h in hs)), term
+
+
 # -- decomposition -----------------------------------------------------------------
 
 
@@ -335,14 +393,8 @@ def test_decompose_extensionality_on_examples():
             ins = tuple(
                 UNIT if t == "I" else rng.uniform(-20, 20) for t in sig.in_types
             )
-            got = wf(ins)
             assign = {f"x{i + 1}": v for i, v in enumerate(ins)}
-            want = tuple(int_term_denotation(h, assign, reg) for h in hs)
-            for a, b in zip(got, want):
-                if a is UNIT or b is UNIT:
-                    assert a is b
-                else:
-                    assert abs(a - b) <= 1e-9
+            assert _outputs_agree(wf(ins), tuple(int_term_denotation(h, assign, reg) for h in hs))
 
 
 # -- distances ---------------------------------------------------------------------
@@ -387,6 +439,22 @@ def test_int_distance_normalizes_and_flags():
     d = int_distance(EMPTY_ENV, ty, m, n, BATTERY)
     assert d.normalized
     assert (d.lo, d.hi) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, derivations", [("add(k 1.0, 2.0)", 2), (r"(\x:R. add(k x, 2.0)) 1.0", 3)]
+)
+def test_int_distance_derives_a_normal_term_once(monkeypatch, text, derivations):
+    # each term's check derivation is decomposed if the term is
+    # beta-normal; only a normalized term is derived again
+    import linmetric.semint as semint
+
+    calls = []
+    derive_ = semint.derive
+    monkeypatch.setattr(semint, "derive", lambda *a: calls.append(a) or derive_(*a))
+    env = parse_env("k:R -o R")
+    int_distance(env, R, parse_term(text), parse_term("add(k 1.0, 3.0)"), BATTERY)
+    assert len(calls) == derivations
 
 
 def test_int_distance_same_skeleton_literals():
@@ -529,9 +597,6 @@ def test_sampled_gap_matches_reference_search():
         assert _sampled_gap(h1, h2, BATTERY, REG) == _reference_sampled_gap(h1, h2, BATTERY, REG)
 
 
-CORPUS_REG = corpus_registry()
-
-
 def _generated_wire_pairs():
     """R wires of decompose over typed_pair_corpus that read at least 2
     variables between them: the first 25 that read 2 or 3, and all that
@@ -670,14 +735,8 @@ def _assert_extensional(env_text, term_text, reg=None, samples=40):
     rng = random.Random(99)
     for _ in range(samples):
         ins = tuple(UNIT if t == "I" else rng.uniform(-10, 10) for t in sig.in_types)
-        got = wf(ins)
         assign = {f"x{i + 1}": v for i, v in enumerate(ins)}
-        want = tuple(int_term_denotation(h, assign, reg) for h in hs)
-        for a, b in zip(got, want):
-            if a is UNIT or b is UNIT:
-                assert a is b
-            else:
-                assert abs(a - b) <= 1e-9
+        assert _outputs_agree(wf(ins), tuple(int_term_denotation(h, assign, reg) for h in hs))
     return hs
 
 
