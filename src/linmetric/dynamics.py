@@ -1,8 +1,14 @@
 """Operational semantics and a sound equality decision procedure.
 
-Evaluation is big-step and total on typed closed terms.  Normalization
-contracts beta and let redexes under binders; each contraction strictly
-shrinks the term (the language is linear), so both terminate.
+Evaluation is big-step and total on typed closed terms.  It runs in an
+environment of closures (Landin 1964; Reynolds 1972) and reads the value
+back by substituting each closure's free variables into its λ; these
+values are closed, so the term is the one that rewriting by substitution
+gives.  The event guard sizes the term only once a closure is applied
+twice: until then each node runs at most once, as a λ body runs once per
+application of a closure made at that λ.  Normalization contracts beta
+and let redexes under binders; each contraction strictly shrinks the
+term (the language is linear), so both terminate.
 
 ``eq_canonical`` rewrites a term into a canonical representative of its
 equational class using beta, the let laws, eta-contraction of all three
@@ -23,6 +29,7 @@ from .core import (
     EvalError,
     FnApp,
     Hole,
+    INF,
     Lam,
     LetPair,
     LetStar,
@@ -97,63 +104,99 @@ def substitute(term: Term, var: str, value: Term) -> Term:
     return go(term)
 
 
+class _Closure:
+    """A λ and the environment it was made in; ``applied`` once applied."""
+
+    __slots__ = ("lam", "env", "applied")
+
+    def __init__(self, lam: Lam, env: dict):
+        self.lam, self.env, self.applied = lam, env, False
+
+
+def _read_back(v) -> Term:
+    """The term a value stands for.  Only a closure's free variables are
+    read back: reading back its whole environment would take time
+    exponential in the nesting of closures made in each other's scope."""
+    if isinstance(v, _Closure):
+        lam = v.lam
+        fv = free_vars(lam)
+        for name, value in v.env.items():
+            if name in fv:
+                lam = substitute(lam, name, _read_back(value))
+        return lam
+    if isinstance(v, tuple):
+        return Pair(_read_back(v[0]), _read_back(v[1]))
+    return v
+
+
 def evaluate(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
     """Big-step evaluation of a closed typed term to a value.
 
-    In a linear term every redex firing consumes a syntax node, so the
-    number of reduction events is bounded by the initial size; exceeding
-    it means the input was not typeable and evaluation aborts.
+    In a linear term every event (a symbol, an application or a let
+    firing) consumes a syntax node, so the number of events is bounded
+    by the term's size; exceeding it means the input was not typeable
+    and evaluation aborts.  The size is computed only once a closure is
+    applied twice (see the module docstring).
     """
     registry = registry if registry is not None else default_registry()
-    limit = term_size(term)
-    events = [0]
+    limit = INF
+    events = 0
 
     def fire():
-        events[0] += 1
-        if events[0] > limit:
+        nonlocal events
+        events += 1
+        if events > limit:
             raise EvalError("reduction events exceeded the term size (untyped input?)")
 
-    def go(t: Term) -> Term:
-        if isinstance(t, (Const, Star, Lam)):
+    def go(t: Term, env: dict):
+        nonlocal limit
+        cls = type(t)  # exact classes: this loop is the hot path of obs
+        if cls is Var:
+            if t.name not in env:
+                raise EvalError(f"free variable {t.name!r} during evaluation")
+            return env[t.name]
+        if cls is Const or cls is Star:
             return t
-        if isinstance(t, Var):
-            raise EvalError(f"free variable {t.name!r} during evaluation")
-        if isinstance(t, FnApp):
+        if cls is FnApp:
             sym = registry.get(t.symbol)
             vals = []
             for a in t.args:
-                v = go(a)
-                if not isinstance(v, Const):
+                v = go(a, env)
+                if type(v) is not Const:
                     raise EvalError(f"argument of {t.symbol!r} evaluated to a non-number")
                 vals.append(v.value)
             fire()
             return Const(sym(*vals))
-        if isinstance(t, App):
-            f = go(t.fn)
-            if not isinstance(f, Lam):
+        if cls is Lam:
+            return _Closure(t, env)
+        if cls is App:
+            f = go(t.fn, env)
+            if type(f) is not _Closure:
                 raise EvalError("application head is not a function value")
-            v = go(t.arg)
+            v = go(t.arg, env)
             fire()
-            return go(substitute(f.body, f.var, v))
-        if isinstance(t, Pair):
-            return Pair(go(t.left), go(t.right))
-        if isinstance(t, LetStar):
-            s = go(t.scrutinee)
-            if not isinstance(s, Star):
-                raise EvalError("let * scrutinee did not evaluate to *")
-            fire()
-            return go(t.body)
-        if isinstance(t, LetPair):
-            s = go(t.scrutinee)
-            if not isinstance(s, Pair):
+            if f.applied and limit == INF:
+                limit = term_size(term)
+            f.applied = True
+            return go(f.lam.body, {**f.env, f.lam.var: v})
+        if cls is Pair:
+            return go(t.left, env), go(t.right, env)
+        if cls is LetPair:
+            s = go(t.scrutinee, env)
+            if type(s) is not tuple:
                 raise EvalError("let (x) scrutinee did not evaluate to a pair")
             fire()
-            body = substitute(t.body, t.var1, s.left)
-            body = substitute(body, t.var2, s.right)
-            return go(body)
+            # var1 last: where the names coincide it wins, as when substituted first
+            return go(t.body, {**env, t.var2: s[1], t.var1: s[0]})
+        if cls is LetStar:
+            s = go(t.scrutinee, env)
+            if type(s) is not Star:
+                raise EvalError("let * scrutinee did not evaluate to *")
+            fire()
+            return go(t.body, env)
         raise AssertionError(t)
 
-    return go(term)
+    return _read_back(go(term, {}))
 
 
 # ---------------------------------------------------------------------------

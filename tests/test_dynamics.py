@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linmetric import dynamics, gen, metrics
 from linmetric.core import (
     App,
     Const,
     EMPTY_ENV,
+    EvalError,
     FnApp,
     Lam,
     LetPair,
@@ -16,6 +18,8 @@ from linmetric.core import (
     R,
     STAR,
     Star,
+    Symbol,
+    SymbolRegistry,
     TLolli,
     Var,
     default_registry,
@@ -79,6 +83,181 @@ def test_substitute_size_in_linear_term():
 
 
 # -- evaluation ----------------------------------------------------------------
+
+
+def substitution_evaluate(term, registry=None):
+    """The evaluator ``evaluate`` replaced, kept as its oracle: it rewrites
+    the term at every beta and let step, and sizes the term up front."""
+    registry = registry if registry is not None else default_registry()
+    limit = term_size(term)
+    events = [0]
+
+    def fire():
+        events[0] += 1
+        if events[0] > limit:
+            raise EvalError("reduction events exceeded the term size (untyped input?)")
+
+    def go(t):
+        if isinstance(t, (Const, Star, Lam)):
+            return t
+        if isinstance(t, Var):
+            raise EvalError(f"free variable {t.name!r} during evaluation")
+        if isinstance(t, FnApp):
+            sym = registry.get(t.symbol)
+            vals = []
+            for a in t.args:
+                v = go(a)
+                if not isinstance(v, Const):
+                    raise EvalError(f"argument of {t.symbol!r} evaluated to a non-number")
+                vals.append(v.value)
+            fire()
+            return Const(sym(*vals))
+        if isinstance(t, App):
+            f = go(t.fn)
+            if not isinstance(f, Lam):
+                raise EvalError("application head is not a function value")
+            v = go(t.arg)
+            fire()
+            return go(substitute(f.body, f.var, v))
+        if isinstance(t, Pair):
+            return Pair(go(t.left), go(t.right))
+        if isinstance(t, LetStar):
+            s = go(t.scrutinee)
+            if not isinstance(s, Star):
+                raise EvalError("let * scrutinee did not evaluate to *")
+            fire()
+            return go(t.body)
+        if isinstance(t, LetPair):
+            s = go(t.scrutinee)
+            if not isinstance(s, Pair):
+                raise EvalError("let (x) scrutinee did not evaluate to a pair")
+            fire()
+            body = substitute(t.body, t.var1, s.left)
+            body = substitute(body, t.var2, s.right)
+            return go(body)
+        raise AssertionError(t)
+
+    return go(term)
+
+
+def _outcome(evaluator, term, registry=None):
+    try:
+        return evaluator(term, registry)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_agrees_with_substitution(term, registry=None):
+    want = _outcome(substitution_evaluate, term, registry)
+    assert _outcome(evaluate, term, registry) == want, print_term(term)
+    return want
+
+
+def test_evaluate_agrees_with_substitution_on_obs_contexts(monkeypatch):
+    # every context obs_lower_bound tries, around both terms of a pair
+    seen = []
+
+    def checked(term, registry=None):
+        seen.append(assert_agrees_with_substitution(term, registry))
+        return evaluate(term, registry)
+
+    monkeypatch.setattr(metrics, "evaluate", checked)
+    reg = gen.corpus_registry()
+    for env, ty, m, n in gen.typed_pair_corpus(0, 100, reg):
+        metrics.obs_lower_bound(env, ty, m, n, registry=reg)
+    assert len(seen) > 1000
+    assert any(isinstance(v, Lam) for v in seen)  # read back
+
+
+def test_evaluate_agrees_with_substitution_on_closed_observables():
+    reg = gen.corpus_registry()
+    for _, m in gen.closed_observable_corpus(0, 200, reg):
+        assert_agrees_with_substitution(m, reg)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        r"(\x:R. \y:R. add(x, y)) 2.0",
+        r"(\x:R. \y:R. \z:R. add(x, add(y, z))) 1.0 2.0",
+        r"(\k:(R -o R). \x:R. k x) (\x:R. sin(x))",
+        r"(\x:R. (\y:R. add(x, y)) * (\z:R. z)) 1.5",
+        r"let a (x) b = 1.0 * 2.0 in (\u:R. add(u, a)) * (\v:R. add(v, b))",
+        r"(\p:((R -o R) (x) R). let f (x) y = p in \z:R. f add(y, z)) ((\w:R. cos(w)) * 3.0)",
+        # a name rebound inside a closure's scope
+        r"(\x:R. (\y:R. \x:R. add(x, y)) x) 1.0",
+        r"let x (x) y = 1.0 * 2.0 in let y (x) x = x * y in (\z:R. add(x, z)) * y",
+    ],
+)
+def test_evaluate_reads_function_values_back(text):
+    m = parse_term(text)
+    typecheck(EMPTY_ENV, m)
+    assert_agrees_with_substitution(m)
+
+
+def test_evaluate_substitutes_a_closure_environment_into_its_lambda():
+    got = evaluate(parse_term(r"(\x:R. \y:R. add(x, y)) 2.0"))
+    assert got == parse_term(r"\y:R. add(2.0, y)")
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("add(x, 1.0)", "x"),
+        (r"(\x:R. add(x, y)) 1.0", "y"),
+        (r"(\f:(R -o R). f 1.0) (\x:R. add(x, z))", "z"),
+        ("let a (x) b = p in add(a, b)", "p"),
+        (r"(\x:R. x) (let * = u in 1.0)", "u"),
+    ],
+)
+def test_evaluate_raises_at_a_free_variable(text, name):
+    want = assert_agrees_with_substitution(parse_term(text))
+    assert want == (EvalError, f"free variable {name!r} during evaluation")
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        parse_term("let x (x) x = 1.0 * 2.0 in x"),  # var1 wins
+        parse_term(r"(\x:R. x) (\y:R. y)"),
+        parse_term(r"add(\x:R. x, 1.0)"),
+        App(Const(1.0), Const(2.0)),
+        parse_term("let * = 1.0 in 2.0"),
+        parse_term("let a (x) b = 1.0 in a"),
+        FnApp("nope", (Const(1.0),)),
+    ],
+)
+def test_evaluate_agrees_with_substitution_on_untyped_terms(term):
+    assert_agrees_with_substitution(term)
+
+
+def test_read_back_substitutes_only_free_variables(monkeypatch):
+    # closure j is made where closures 1..j-1 are in scope, but uses none
+    # of them; reading all of them back would take 2^k substitutions
+    k = 12
+    body = "z"
+    for j in range(1, k + 1):
+        body = f"a{j} ({body})"
+    text = rf"\z:R. {body}"
+    for j in range(k, 0, -1):
+        text = rf"(\a{j}:R -o R. {text}) (\x:R. x)"
+    m = parse_term(text)
+    typecheck(EMPTY_ENV, m)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(dynamics, "substitute", counting)
+    assert evaluate(m) == substitution_evaluate(m)
+    assert len(calls) == k
+
+
+def test_evaluate_keeps_the_open_parts_of_a_function_value():
+    # an unapplied closure is not evaluated, so its free names stay
+    got = assert_agrees_with_substitution(parse_term(r"(\x:R. \y:R. add(x, z)) 1.0"))
+    assert got == parse_term(r"\y:R. add(1.0, z)")
 
 
 def test_eval_sin_zero():
@@ -310,6 +489,60 @@ def test_eval_rejects_untyped_looping_term():
     omega = Lam("x", R, App(Var("x"), Var("x")))
     with pytest.raises(EvalError):
         evaluate(App(omega, omega))
+
+
+GUARD = (EvalError, "reduction events exceeded the term size (untyped input?)")
+
+
+def test_eval_guard_trips_on_self_application():
+    omega = Lam("x", R, App(Var("x"), Var("x")))
+    assert assert_agrees_with_substitution(App(omega, omega)) == GUARD
+
+
+def test_eval_runs_an_untyped_term_whose_events_stay_within_its_size():
+    # f is used twice, so the term is untyped: 3 events against a size of 9
+    m = parse_term(r"(\f:R -o R. f (f 1.0)) (\x:R. x)")
+    assert term_size(m) == 9
+    assert assert_agrees_with_substitution(m) == Const(1.0)
+
+
+@pytest.mark.parametrize("k, want_calls", [(6, 12), (7, 13)])
+def test_eval_guard_trips_at_the_event_past_the_size(k, want_calls):
+    # each application of f fires 3 events and adds 2 nodes: k = 6 fires
+    # 19 events at size 19, k = 7 fires its 22nd at size 21, just before
+    # the 14th call of s
+    body = "1.0"
+    for _ in range(k):
+        body = f"f ({body})"
+    calls = []
+    reg = SymbolRegistry([Symbol("s", 1, lambda a: calls.append(a) or a)])
+    m = parse_term(rf"(\f:R -o R. {body}) (\x:R. s(s(x)))", reg)
+    assert term_size(m) == 2 * k + 7
+    outcomes = []
+    for evaluator in (substitution_evaluate, evaluate):
+        calls.clear()
+        outcomes.append(_outcome(evaluator, m, reg))
+        assert len(calls) == want_calls
+    assert outcomes[0] == outcomes[1] == (Const(1.0) if k == 6 else GUARD)
+
+
+def test_eval_of_a_typed_term_never_sizes_it(monkeypatch):
+    def refuse(t):
+        raise AssertionError("term_size called")
+
+    monkeypatch.setattr(dynamics, "term_size", refuse)
+    for text in [
+        r"(\k:(R -o R). k 3.0) (\x:R. sin(x))",
+        r"(\x:R. \y:R. add(x, y)) 2.0",
+        r"(\p:(R (x) R). let x (x) y = p in add(x, y)) (2.0 * 3.0)",
+        r"(\g:((R -o R) -o R). g (\x:R. cos(x))) (\h:(R -o R). h 1.0)",
+    ]:
+        m = parse_term(text)
+        typecheck(EMPTY_ENV, m)
+        evaluate(m)
+    reg = gen.corpus_registry()
+    for _, m in gen.closed_observable_corpus(0, 50, reg):
+        evaluate(m, reg)
 
 
 def test_eq_decide_swapped_unit_lets_under_binders():

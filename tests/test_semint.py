@@ -25,11 +25,20 @@ from linmetric.core import (
     parse_env,
     parse_term,
     parse_type,
+    pos_atoms,
     term_size,
     typecheck,
 )
 from linmetric.dynamics import beta_normalize, evaluate, literal_diffs
-from linmetric.gen import corpus_registry, gen_feasible_pair_site, gen_term, typed_pair_corpus
+from linmetric.gen import (
+    corpus_registry,
+    feasible_site,
+    gen_env,
+    gen_feasible_pair_site,
+    gen_term,
+    gen_type,
+    typed_pair_corpus,
+)
 from linmetric.semden import BOTTOM, UNIT, PairVal, ProbeBattery, interp_den, sem_equal
 from linmetric.semint import (
     ModelError,
@@ -299,12 +308,7 @@ def _outputs_agree(got: tuple, want: tuple) -> bool:
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_strategy_agrees_with_decomposition_on_generated_terms(rng):
-    # terms as gen.beta_normal_corpus draws them, with hypothesis's
-    # choices in place of a seeded generator so a failure shrinks
-    env, ty = gen_feasible_pair_site(rng)
+def _assert_strategy_agrees_on_a_generated_term(rng, env, ty):
     try:
         term = beta_normalize(gen_term(rng, env, ty, CORPUS_REG, fuel=rng.randint(2, 6)))
     except ValueError:
@@ -316,6 +320,37 @@ def test_strategy_agrees_with_decomposition_on_generated_terms(rng):
         ins = tuple(UNIT if t == "I" else rng.uniform(-20, 20) for t in wf.in_types)
         assign = {f"x{i + 1}": v for i, v in enumerate(ins)}
         assert _outputs_agree(wf(ins), tuple(int_term_denotation(h, assign, CORPUS_REG) for h in hs)), term
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_strategy_agrees_with_decomposition_on_generated_terms(rng):
+    # terms as gen.beta_normal_corpus draws them, with hypothesis's
+    # choices in place of a seeded generator so a failure shrinks
+    env, ty = gen_feasible_pair_site(rng)
+    _assert_strategy_agrees_on_a_generated_term(rng, env, ty)
+
+
+def _site_with_environment_outputs(rng):
+    """A feasible site of up to four bindings whose environment has at
+    least two output wires, or None after 64 draws."""
+    for _ in range(64):
+        env = gen_env(rng, max_bindings=4)
+        ty = gen_type(rng, 2, rng.randint(1, 4))
+        # the signature's outputs are the environment's, then the result's
+        if feasible_site(env, ty) and wire_signature(env, ty).n - len(pos_atoms(ty)) >= 2:
+            return env, ty
+    return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_strategy_agrees_with_decomposition_with_several_environment_outputs(rng):
+    # the corpus sites (at most two bindings) rarely give two environment
+    # output wires, which is where _routes' gather order shows
+    site = _site_with_environment_outputs(rng)
+    assume(site is not None)
+    _assert_strategy_agrees_on_a_generated_term(rng, *site)
 
 
 # -- decomposition -----------------------------------------------------------------
