@@ -10,8 +10,10 @@ the distance engine reports sound enclosures: lower bounds obtained by
 probing with a deterministic battery of sample points, upper bounds
 supplied by the caller (typically from an equational certificate).
 
-A real denotes itself, a plain number; bottom, the unit, pairs and
-closures are ``SemValue``s.  Each term is compiled once, by
+Values are plain Python data: a real is a number, a pair a 2-tuple and
+a function a Python callable; bottom and the unit are the sentinels
+``BOTTOM`` and ``UNIT``, so ``==`` compares values (functions and the
+sentinels by identity).  Each term is compiled once, by
 ``compile_term``, into Python closures over a slot-indexed environment
 tuple (variables resolved to tuple indices, symbols to their
 evaluators); the probes then run the compiled code, not the syntax
@@ -72,59 +74,20 @@ from .dynamics import evaluate
 # Semantic values
 
 
-class SemValue:
-    __slots__ = ()
+class _Sentinel:
+    __slots__ = ("name",)
 
-
-class _Bottom(SemValue):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Bottom"
-
-
-class _Unit(SemValue):
-    __slots__ = ()
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "UnitVal"
+        return self.name
 
 
-BOTTOM = _Bottom()
-UNIT = _Unit()
-Value = float | SemValue  # a real is a plain number
-
-
-@dataclass(frozen=True)
-class PairVal(SemValue):
-    left: Value
-    right: Value
-
-
-@dataclass(frozen=True)
-class Closure(SemValue):
-    """A non-expansive function packaged as a python callable."""
-
-    fn: Callable[[Value], Value]
-
-    def __call__(self, arg: Value) -> Value:
-        return self.fn(arg)
-
-
+BOTTOM = _Sentinel("Bottom")
+UNIT = _Sentinel("UnitVal")
+Value = float | tuple | Callable | _Sentinel
 SemEnvPoint = tuple  # tuple of values, one per environment binding
-
-
-def sem_equal(a: Value, b: Value) -> bool:
-    """Exact equality on first-order fragments; closures by identity."""
-    if not isinstance(a, SemValue) and not isinstance(b, SemValue):
-        return a == b
-    if a is BOTTOM or b is BOTTOM:
-        return a is b
-    if a is UNIT or b is UNIT:
-        return a is b
-    if isinstance(a, PairVal) and isinstance(b, PairVal):
-        return sem_equal(a.left, b.left) and sem_equal(a.right, b.right)
-    return a is b
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +167,11 @@ def compile_term(
 
         def app(env: tuple) -> Value:
             f, a = fn(env), arg(env)
-            if not isinstance(f, Closure):
-                if f is BOTTOM:
-                    return BOTTOM
-                raise TypeError_("application of a non-function denotation")
-            return f.fn(a)
+            if callable(f):
+                return f(a)
+            if f is BOTTOM:
+                return BOTTOM
+            raise TypeError_("application of a non-function denotation")
 
         return app
     if isinstance(t, Lam):
@@ -221,17 +184,17 @@ def compile_term(
         inner[t.var] = depth
         body = compile_term(t.body, inner, depth + 1, registry)
         if not hoisted:
-            return lambda env: Closure(lambda v: body(env + (v,)))
+            return lambda env: lambda v: body(env + (v,))
 
         def lam(env: tuple) -> Value:
             outer = env + tuple([h(env) for h in hoisted])
-            return Closure(lambda v: body(outer + (v,)))
+            return lambda v: body(outer + (v,))
 
         return lam
     if isinstance(t, Pair):
         left = compile_term(t.left, slots, depth, registry)
         right = compile_term(t.right, slots, depth, registry)
-        return lambda env: PairVal(left(env), right(env))
+        return lambda env: (left(env), right(env))
     if isinstance(t, LetStar):
         scrutinee = compile_term(t.scrutinee, slots, depth, registry)
         body = compile_term(t.body, slots, depth, registry)
@@ -249,11 +212,11 @@ def compile_term(
 
         def let_pair(env: tuple) -> Value:
             s = scrutinee(env)
+            if type(s) is tuple:
+                return body(env + s)
             if s is BOTTOM:
                 return BOTTOM
-            if not isinstance(s, PairVal):
-                raise TypeError_("let (x) scrutinee did not denote a pair")
-            return body(env + (s.left, s.right))
+            raise TypeError_("let (x) scrutinee did not denote a pair")
 
         return let_pair
     raise AssertionError(t)
@@ -338,7 +301,7 @@ def sem_l1(a: Value, b: Value, ty: Ty) -> float:
     if isinstance(ty, TUnit):
         return 0.0
     if isinstance(ty, TTensor):
-        return sem_l1(a.left, b.left, ty.left) + sem_l1(a.right, b.right, ty.right)  # type: ignore[union-attr]
+        return sem_l1(a[0], b[0], ty.left) + sem_l1(a[1], b[1], ty.right)  # type: ignore[index]
     raise TypeError_(f"type {ty!r} is not observable")
 
 
@@ -412,10 +375,10 @@ class ProbeBattery:
             rights = self._real_probes(src.right, depth - 1) or []
 
             def via_left(h):
-                return lambda v: BOTTOM if v is BOTTOM else h(v.left)
+                return lambda v: BOTTOM if v is BOTTOM else h(v[0])
 
             def via_right(h):
-                return lambda v: BOTTOM if v is BOTTOM else h(v.right)
+                return lambda v: BOTTOM if v is BOTTOM else h(v[1])
 
             out = [via_left(h) for h in lefts[:4]] + [via_right(h) for h in rights[:4]]
             for n in binary:
@@ -426,7 +389,7 @@ class ProbeBattery:
                         def combined(v, _hl=hl, _hr=hr, _f=fsym):
                             if v is BOTTOM:
                                 return BOTTOM
-                            a, b = _hl(v.left), _hr(v.right)
+                            a, b = _hl(v[0]), _hr(v[1])
                             if a is BOTTOM or b is BOTTOM:
                                 return BOTTOM
                             return _f(a, b)
@@ -466,7 +429,7 @@ class ProbeBattery:
             return [UNIT]
         if isinstance(ty, TTensor):
             pairs = itertools.product(self.samples(ty.left), self.samples(ty.right))
-            return [PairVal(a, b) for a, b in itertools.islice(pairs, self.max_samples)]
+            return list(itertools.islice(pairs, self.max_samples))
         if isinstance(ty, TLolli):
             return self._function_samples(ty)
         raise AssertionError(ty)
@@ -475,34 +438,33 @@ class ProbeBattery:
         out: list[Value] = []
         # constant maps: always non-expansive
         for v in self.samples(ty.res)[:6]:
-            out.append(Closure(lambda _x, _v=v: _v))
+            out.append(lambda _x, _v=v: _v)
         out.extend(self._structured_functions(ty))
         if len(out) < self.max_samples and isinstance(ty.res, TReal):
             # pad with seeded constant maps up to the requested battery size
             rng = random.Random(self.seed ^ zlib.crc32(repr(ty).encode()))
             while len(out) < self.max_samples:
                 c = rng.uniform(-100.0, 100.0)
-                out.append(Closure(lambda _x, _c=c: _c))
+                out.append(lambda _x, _c=c: _c)
         return out[: self.max_samples]
 
     def _structured_functions(self, ty: TLolli) -> list[Value]:
         out: list[Value] = []
         # active maps, shaped by the result type
         if isinstance(ty.res, TReal):
-            for h in self._real_probes(ty.arg, FN_DEPTH):
-                out.append(Closure(h))
+            out.extend(self._real_probes(ty.arg, FN_DEPTH))
         elif isinstance(ty.res, TUnit):
-            out.append(Closure(lambda _x: UNIT))
+            out.append(lambda _x: UNIT)
         elif isinstance(ty.res, TTensor):
             # one active component at a time keeps the map non-expansive
             if isinstance(ty.res.left, TReal):
                 for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
                     for w in self.samples(ty.res.right)[:2]:
-                        out.append(Closure(lambda x, _h=h, _w=w: PairVal(_h(x), _w)))
+                        out.append(lambda x, _h=h, _w=w: (_h(x), _w))
             if isinstance(ty.res.right, TReal):
                 for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
                     for w in self.samples(ty.res.left)[:2]:
-                        out.append(Closure(lambda x, _h=h, _w=w: PairVal(_w, _h(x))))
+                        out.append(lambda x, _h=h, _w=w: (_w, _h(x)))
         elif isinstance(ty.res, TLolli):
             inner = TLolli(ty.res.arg, ty.res.res)
             if isinstance(ty.res.res, TReal):
@@ -523,9 +485,9 @@ class ProbeBattery:
                                         return BOTTOM
                                     return _f(_hx, gy)
 
-                                return Closure(stage)
+                                return stage
 
-                            out.append(Closure(curried))
+                            out.append(curried)
         return out
 
     def env_samples(self, env: Env, limit: int = 64) -> list[SemEnvPoint]:
@@ -552,8 +514,8 @@ def value_dist_lower(
     if is_observable(ty):
         return sem_l1(a, b, ty), ()
     if isinstance(ty, TTensor):
-        dl, pl = value_dist_lower(a.left, b.left, ty.left, battery, depth)  # type: ignore[union-attr]
-        dr, pr = value_dist_lower(a.right, b.right, ty.right, battery, depth)  # type: ignore[union-attr]
+        dl, pl = value_dist_lower(a[0], b[0], ty.left, battery, depth)  # type: ignore[index]
+        dr, pr = value_dist_lower(a[1], b[1], ty.right, battery, depth)  # type: ignore[index]
         return dl + dr, (("pair", pl, pr),)
     if isinstance(ty, TLolli):
         if a is BOTTOM or b is BOTTOM:

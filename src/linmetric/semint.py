@@ -140,7 +140,7 @@ class WireFunction:
 
 
 def _wire_leq(a, b) -> bool:
-    return a is BOTTOM or a == b or (a is UNIT and b is UNIT)
+    return a is BOTTOM or a == b
 
 
 def _iterate_feedback(

@@ -26,17 +26,15 @@ from linmetric.core import (
     typecheck,
 )
 from linmetric.dynamics import evaluate
+from linmetric.gen import corpus_registry, typed_pair_corpus
 from linmetric.semden import (
     BOTTOM,
-    Closure,
-    PairVal,
     ProbeBattery,
     UNIT,
     den_distance,
     ground_l1,
     interp_den,
     replay_lo,
-    sem_equal,
     sem_l1,
     value_to_sem,
 )
@@ -87,7 +85,7 @@ def test_interp_matches_eval_on_samples():
         ty = typecheck(EMPTY_ENV, m)
         got = interp_den(EMPTY_ENV, m)(())
         want = value_to_sem(evaluate(m))
-        assert sem_equal(got, want), text
+        assert got == want, text
 
 
 def test_lambda_runs_the_work_free_of_its_variable_once():
@@ -114,7 +112,7 @@ def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
     m = App(App(App(fun, Const(1.0)), Pair(Const(2.0), Const(3.0))), Const(4.0))
     got = interp_den(EMPTY_ENV, m)(())
     assert got == math.sin(1.0) + 4.0 + (math.sin(2.0) + 3.0)
-    assert sem_equal(got, value_to_sem(evaluate(m)))
+    assert got == value_to_sem(evaluate(m))
 
 
 # -- ground metric -------------------------------------------------------------
@@ -154,7 +152,7 @@ def test_battery_deterministic():
     t = parse_type("R -o R")
     x = 0.75
     for f1, f2 in zip(b1.samples(t), b2.samples(t)):
-        assert sem_equal(f1(x), f2(x))
+        assert f1(x) == f2(x)
 
 
 def test_battery_builds_the_samples_of_each_type_once():
@@ -293,3 +291,40 @@ def test_den_distance_nonexpansive_in_env():
         for b in (0.5, -1.5):
             da = sem_l1(f((a,)), f((b,)), R)
             assert da <= abs(a - b) + 1e-12
+
+
+def test_den_distance_witnesses_replay_in_generated_environments():
+    # witness points in environments of tensor or function type carry
+    # tuples and callables, and replay to the reported lower bound
+    reg = corpus_registry()
+    battery = ProbeBattery(reg, seed=0)
+    replayed = structured = 0
+    for env, ty, m, n in typed_pair_corpus(0, 150, reg):
+        d = den_distance(env, ty, m, n, battery, registry=reg)
+        if d.lo_witness is None:
+            continue
+        assert replay_lo(env, ty, m, n, d.lo_witness, battery, registry=reg) == d.lo
+        replayed += 1
+        structured += any(isinstance(t, (TTensor, TLolli)) for _, t in env)
+    assert replayed >= 50 and structured >= 10
+
+
+# -- ill-typed input -----------------------------------------------------------
+
+
+def test_applying_a_non_function_is_a_type_error():
+    with pytest.raises(TypeError_, match="application of a non-function denotation"):
+        interp_den(EMPTY_ENV, App(Const(1.0), Const(2.0)))(())
+
+
+def test_let_pair_of_a_non_pair_is_a_type_error():
+    m = LetPair("a", "b", Const(1.0), Var("a"))
+    with pytest.raises(TypeError_, match=r"let \(x\) scrutinee did not denote a pair"):
+        interp_den(EMPTY_ENV, m)(())
+
+
+def test_application_and_let_pair_pass_bottom_through():
+    f = interp_den(env_of(("f", TLolli(R, R))), parse_term("f 1.0"))
+    assert f((BOTTOM,)) is BOTTOM
+    m = parse_term("let a (x) b = p in add(a, b)")
+    assert interp_den(env_of(("p", TTensor(R, R))), m)((BOTTOM,)) is BOTTOM

@@ -39,7 +39,7 @@ from linmetric.gen import (
     gen_type,
     typed_pair_corpus,
 )
-from linmetric.semden import BOTTOM, UNIT, PairVal, ProbeBattery, interp_den, sem_equal
+from linmetric.semden import BOTTOM, UNIT, ProbeBattery, interp_den
 from linmetric.semint import (
     ModelError,
     WireFunction,
@@ -725,9 +725,10 @@ def test_ternary_symbol_agrees_across_engines():
     assert wf((BOTTOM,)) == (BOTTOM,)
 
 
-def test_sem_equal_compares_numbers_by_value():
-    assert sem_equal(3, 3.0) and sem_equal(PairVal(3, UNIT), PairVal(3.0, UNIT))
-    assert not sem_equal(3, 3.5) and not sem_equal(3.0, BOTTOM) and not sem_equal(UNIT, 0.0)
+def test_den_values_compare_by_value():
+    value = interp_den(EMPTY_ENV, parse_term("3.0 * *"))(())
+    assert value == (3, UNIT) and value != (3.5, UNIT)
+    assert value != (3.0, BOTTOM) and interp_den(EMPTY_ENV, parse_term("*"))(()) != 0.0
 
 
 def test_first_order_distance_unit_wire():
