@@ -500,9 +500,6 @@ class SymbolRegistry:
         except KeyError:
             raise RegistryError(f"unregistered symbol {name!r}") from None
 
-    def arity(self, name: str) -> int:
-        return self.get(name).arity
-
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._symbols))
 
@@ -603,6 +600,22 @@ class DistInterval:
     def __add__(self, other: "DistInterval") -> "DistInterval":
         return DistInterval(self.lo + other.lo, self.hi + other.hi,
                             normalized=self.normalized or other.normalized)
+
+
+def search(scored: Iterable, stop: float = INF, best: float = 0.0, witness=None) -> tuple:
+    """The incumbent of a lower-bound search (Land & Doig, 1960): the
+    first highest-scoring ``(score, witness)`` pair of ``scored`` if it
+    beats ``best``, else ``(best, witness)``.  Returns as soon as the
+    incumbent reaches ``stop``, pulling no further pair.  Callers stop
+    only at a bound their report clips to: rounding can put the full
+    search a few ulps above a certified bound (``add(v0, -0.7)`` vs
+    ``add(v0, -1.7)`` gives 1.0000000000000002 against a certified 1.0)."""
+    for score, w in scored:
+        if score > best:
+            best, witness = score, w
+            if best >= stop:
+                break
+    return best, witness
 
 
 # ---------------------------------------------------------------------------

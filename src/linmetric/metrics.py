@@ -56,6 +56,7 @@ from .core import (
     print_term,
     print_type,
     replace_at,
+    search,
     subterm_at,
     typecheck,
 )
@@ -497,14 +498,10 @@ def obs_lower_bound(
     """Largest separation found by closing and observing contexts.
 
     Sound lower bound for the observational metric; the witness replays
-    by evaluating the stored context around both terms.
-
-    With a certified ``upper_bound`` of 0 the search returns after the
-    first context that evaluates: the witness changes only on a strictly
-    greater gap, so that context is the one the full search reports.  A
-    positive bound does not stop the search, because rounding can put
-    the full search's gap a few ulps above it (``add(v0, -0.7)`` vs
-    ``add(v0, -1.7)`` gives 1.0000000000000002 against a certified 1.0).
+    by evaluating the stored context around both terms.  The first
+    context that evaluates is the witness until one separates further
+    (``core.search``); none can at a certified ``upper_bound`` of 0, so
+    the search then returns after it.
     """
     registry = registry if registry is not None else default_registry()
     budget = budget if budget is not None else ObsBudget()
@@ -516,23 +513,18 @@ def obs_lower_bound(
     bases = (functools.reduce(App, combo, closed) for combo in itertools.product(*pools))
     contexts = (c for base in bases for c in _elaborations(base, ty, registry, budget, APPLY_DEPTH))
 
-    best = 0.0
-    best_witness = None
-    for ctx, cty in itertools.islice(contexts, budget.max_contexts):
-        try:
-            vm = evaluate(plug(ctx, m), registry)
-            vn = evaluate(plug(ctx, n), registry)
-        except LinError:
-            continue
-        got = _observable_l1(vm, vn, cty)
-        if got > best or best_witness is None:
-            best = got
-            best_witness = ObsWitness(ctx, vm, vn, got)
-        if upper_bound == 0.0:
-            return best, best_witness
-    if best_witness is None:
-        best_witness = ObsWitness(HOLE, m, n, 0.0)
-    return best, best_witness
+    def scored():
+        for ctx, cty in itertools.islice(contexts, budget.max_contexts):
+            try:
+                vm = evaluate(plug(ctx, m), registry)
+                vn = evaluate(plug(ctx, n), registry)
+            except LinError:
+                continue
+            yield _observable_l1(vm, vn, cty), (ctx, vm, vn)
+
+    best, witness = search(scored(), 0.0 if upper_bound == 0.0 else INF, -1.0, (HOLE, m, n))
+    best = max(best, 0.0)  # -1.0 if no context evaluates
+    return best, ObsWitness(*witness, best)
 
 
 def replay_obs_witness(

@@ -65,6 +65,7 @@ from .core import (
     default_registry,
     is_observable,
     is_one_point,
+    search,
     typecheck,
 )
 from .dynamics import evaluate
@@ -547,12 +548,9 @@ def den_distance(
     taken from the caller (an equational certificate dominates this
     metric) except in the exactly-computable cases.
 
-    The search runs in full whatever ``upper_bound`` is, so that the
-    ``ModelError`` check tests the bound; ``ordering_report`` skips the
-    call at a certified 0.  A positive bound could not stop it anyway:
-    rounding can put the full search's ``lo`` a few ulps above it
-    (``add(v0, -0.7)`` vs ``add(v0, -1.7)`` gives 1.0000000000000002
-    against a certified 1.0), and that ``lo`` is the reported number.
+    The search (``core.search``) runs in full whatever ``upper_bound``
+    is, so that the ``ModelError`` check tests the bound;
+    ``ordering_report`` skips the call at a certified 0.
     """
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)
@@ -568,17 +566,14 @@ def den_distance(
         raise TypeError_("den_distance: battery has no samples for this environment")
     fm = interp_den(env, m, registry)
     fn = interp_den(env, n, registry)
-    lo, witness = 0.0, None
-    for point in points:
-        d, path = value_dist_lower(fm(point), fn(point), ty, battery, depth)
-        if d > lo:
-            lo, witness = d, LoWitness(point, path)
+    found = (value_dist_lower(fm(p), fn(p), ty, battery, depth) for p in points)
+    lo, witness = search((d, (p, path)) for p, (d, path) in zip(points, found))
     hi = max(upper_bound, lo) if upper_bound < INF else INF
     if lo > upper_bound + EPS:
         raise ModelError(
             f"lower bound {lo} exceeds certified upper bound {upper_bound}: engine bug"
         )
-    return DistInterval(lo, hi, lo_witness=witness)
+    return DistInterval(lo, hi, lo_witness=LoWitness(*witness) if witness else None)
 
 
 def replay_lo(

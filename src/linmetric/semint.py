@@ -71,6 +71,7 @@ from .core import (
     free_vars as int_term_vars,
     neg_atoms,
     pos_atoms,
+    search,
 )
 from .dynamics import beta_normalize, fold_literals as fold_int_term, is_beta_normal, literal_diffs
 from .semden import BOTTOM, UNIT, ProbeBattery, compile_term
@@ -521,14 +522,12 @@ def _sampled_gap(
     """Max |h1 - h2| over battery assignments to the shared variables,
     refined by a few rounds of local bisection per variable.  ``_stage``
     evaluates grid rows in batches of 1, 1, 2, 4, ... and each variable's
-    four trials as one batch; the gaps are scanned row by row in order.
+    four trials as one batch; ``core.search`` scans the gaps in order, so
+    a grid batch is built only once the scan reaches it.
 
-    Returns as soon as the best gap reaches ``stop``, in the grid and in
-    the bisection rounds; the caller passes a bound its report clips the
-    gap to, so the reported number is the same.  A caller that checks
-    the gap against ``stop`` then sees only the samples up to the first
-    one that reaches it: a later sample further above ``stop`` is not
-    checked."""
+    Returns as soon as the best gap reaches ``stop``: a caller that checks
+    the gap against ``stop`` sees only the samples up to the first one
+    that reaches it, not a later one further above ``stop``."""
     vs = sorted(int_term_vars(h1) | int_term_vars(h2))
     slots = {v: i for i, v in enumerate(vs)}
     k = len(vs)
@@ -544,15 +543,17 @@ def _sampled_gap(
 
     grid = battery.reals[:16]
     rows = min(4096, len(grid) ** k)
-    best, best_row, start = 0.0, None, 0
-    while start < rows:
-        end = min(rows, max(1, 2 * start))
-        for row, g in enumerate(gaps(*_grid_batch(grid, k, start, end)), start):
-            if g > best:
-                best, best_row = g, row
-                if best >= stop:
-                    return best
-        start = end
+
+    def batches():
+        start = 0
+        while start < rows:
+            end = min(rows, max(1, 2 * start))
+            yield zip(gaps(*_grid_batch(grid, k, start, end)), range(start, end))
+            start = end
+
+    best, best_row = search(itertools.chain.from_iterable(batches()), stop)
+    if best >= stop:
+        return best
     n = len(grid)
     best_assign = [0.0 if best_row is None else grid[best_row // n ** (k - 1 - i) % n] for i in range(k)]
     # coordinate descent with local bisection
@@ -564,11 +565,10 @@ def _sampled_gap(
             cols = [[x] * 4 for x in best_assign]
             cols[i] = cands
             # every variable at one level: a column has 4 entries, or 1 if constant
-            for cand, g in zip(cands, gaps(cols, lambda col, a, b: col * (4 // len(col)))):
-                if g > best:
-                    best, best_assign[i] = g, cand
-                    if best >= stop:
-                        return best
+            trials = gaps(cols, lambda col, a, b: col * (4 // len(col)))
+            best, best_assign[i] = search(zip(trials, cands), stop, best, base)
+            if best >= stop:
+                return best
         span /= 2
     return best
 

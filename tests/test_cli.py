@@ -120,6 +120,25 @@ def test_dist_type_mismatch(workdir, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("1.0", ["dist", "k2.lin", "term.lin"]),  # terms of different types
+        ("add(1.0, $)", ["typecheck", "term.lin"]),
+        ("let a (x) a = 1.0 * 2.0 in a", ["typecheck", "term.lin"]),
+        ("let sin (x) b = 1.0 * 2.0 in b", ["typecheck", "term.lin"]),
+        ("1.0", ["typecheck", "term.lin", "--env", "x"]),
+    ],
+)
+def test_user_errors_exit_1_with_one_error_line(workdir, capsys, text, argv):
+    (workdir / "term.lin").write_text(text)
+    argv = [str(workdir / a) if a.endswith(".lin") else a for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_dist_deterministic(workdir, capsys):
     args = [
         "dist",

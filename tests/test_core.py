@@ -42,6 +42,7 @@ from linmetric.core import (
     print_term,
     print_type,
     replace_at,
+    search,
     subterm_at,
     tensor_of,
     typecheck,
@@ -478,3 +479,31 @@ def test_names_of_arity():
 def test_parser_rejects_symbol_as_variable():
     with pytest.raises(ParseError):
         parse_term(r"\sin:R. sin")
+
+
+# -- lower-bound search ------------------------------------------------------
+
+
+def _until(pairs):
+    """``pairs``, then an error if pulled once more."""
+    yield from pairs
+    raise AssertionError("pulled past the stop")
+
+
+def test_search_keeps_the_first_of_equal_scores():
+    assert search([(1.0, "a"), (2.0, "b"), (2.0, "c"), (0.5, "d")]) == (2.0, "b")
+
+
+def test_search_stops_without_pulling_another_pair():
+    assert search(_until([(0.5, "a"), (1.0, "b")]), stop=1.0) == (1.0, "b")
+    assert search(_until([(0.5, "a"), (3.0, "b")]), stop=1.0) == (3.0, "b")
+
+
+def test_search_returns_the_start_when_nothing_beats_it():
+    assert search([], best=0.7, witness="w") == (0.7, "w")
+    assert search([(0.7, "a"), (0.2, "b")], best=0.7, witness="w") == (0.7, "w")
+    assert search([(0.0, "a")]) == (0.0, None)
+
+
+def test_search_returns_at_an_infinite_score():
+    assert search(_until([(1.0, "a"), (math.inf, "b")])) == (math.inf, "b")

@@ -11,6 +11,7 @@ from linmetric.core import (
     EMPTY_ENV,
     EvalError,
     FnApp,
+    I,
     Lam,
     LetPair,
     LetStar,
@@ -21,9 +22,11 @@ from linmetric.core import (
     Symbol,
     SymbolRegistry,
     TLolli,
+    TTensor,
     Var,
     default_registry,
     env_of,
+    free_vars,
     parse_term,
     print_term,
     term_size,
@@ -73,6 +76,21 @@ def test_substitute_names_depend_on_the_input_alone():
     t = Lam("y", R, App(Var("x"), Var("y")))
     first, second = substitute(t, "x", Var("y")), substitute(t, "x", Var("y"))
     assert first == second == Lam("y_0", R, App(Var("y"), Var("y_0")))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("a", "let a_0 (x) b = p in add(a_0, add(b, a))"),
+        ("add(a, b)", "let a_0 (x) b_0 = p in add(a_0, add(b_0, add(a, b)))"),
+    ],
+)
+def test_substitute_renames_a_let_pair_binder_that_would_capture(value, expected):
+    t = parse_term("let a (x) b = p in add(a, add(b, y))")
+    value = parse_term(value)
+    out = substitute(t, "y", value)
+    assert out == parse_term(expected)
+    assert free_vars(out) == {"p"} | free_vars(value)  # the substituted names stay free
 
 
 def test_substitute_size_in_linear_term():
@@ -358,6 +376,22 @@ def test_eq_canonical_eta_unit_law():
 def test_eq_canonical_eta_pair_law():
     m = parse_term("let x (x) y = p in x * y")
     assert eq_canonical(m) == Var("p")
+
+
+def test_eq_canonical_renames_a_let_binder_it_floats_past_a_sibling():
+    env = env_of(("a", R), ("p", TTensor(R, R)))
+    m = parse_term("add(let a (x) b = p in add(a, b), a)")
+    out = eq_canonical(m)
+    assert out == parse_term("let a_ (x) b = p in add(add(a_, b), a)")
+    assert typecheck(env, out) == R and eq_decide(out, m)
+
+
+def test_eq_canonical_unnests_a_let_in_a_let_scrutinee():
+    env = env_of(("u", I), ("v", I), ("x", R))
+    m = parse_term("let * = (let * = u in v) in x")
+    out = eq_canonical(m)
+    assert out == parse_term("let * = u in let * = v in x")
+    assert typecheck(env, out) == R and eq_decide(out, m)
 
 
 def test_eq_decide_reflexive():

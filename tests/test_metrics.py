@@ -89,6 +89,19 @@ def test_log_relate_functions_unknown():
     assert log_relate(m, m, TLolli(R, R), 0.0) == "unknown"
 
 
+def test_log_relate_tensor_with_a_function_component():
+    ty = TTensor(R, TLolli(R, R))
+    v = parse_term(r"1.0 * (\z:R. z)")
+    u = parse_term(r"1.5 * (\z:R. add(z, 1.0))")
+    witness = []
+    # the reals are 0.5 apart, so the functions get 0.1 and are 1.0 apart
+    assert log_relate(v, u, ty, 0.6, witness=witness) == "fails"
+    assert [w[0] for w in witness] == ["observable", "argument-pair"]
+    witness = []
+    assert log_relate(v, u, ty, 0.2, witness=witness) == "fails"
+    assert [w[0] for w in witness] == ["observable-part"]
+
+
 def test_log_distance_observable():
     assert log_distance_observable(parse_term("2.0"), parse_term("3.0"), R) == 1.0
     prefix_m = parse_term("0.0 * 0.0")
