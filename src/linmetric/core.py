@@ -256,36 +256,38 @@ def subterms(t: Term):
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Var, Const, Star, Hole)):
-        return ()
-    if isinstance(t, FnApp):
-        return t.args
-    if isinstance(t, App):
+    """The subterms of ``t``.  This and ``rebuild`` dispatch on the exact
+    class, leaves last, so a subclass of a term class is not a term."""
+    cls = type(t)
+    if cls is App:
         return (t.fn, t.arg)
-    if isinstance(t, Lam):
+    if cls is FnApp:
+        return t.args
+    if cls is Lam:
         return (t.body,)
-    if isinstance(t, Pair):
+    if cls is Pair:
         return (t.left, t.right)
-    if isinstance(t, LetStar):
+    if cls is LetStar or cls is LetPair:
         return (t.scrutinee, t.body)
-    if isinstance(t, LetPair):
-        return (t.scrutinee, t.body)
+    if cls is Var or cls is Const or cls is Star or cls is Hole:
+        return ()
     raise AssertionError(t)
 
 
 def rebuild(t: Term, new_children: list[Term]) -> Term:
-    """``t`` with its children replaced, in the order ``children`` gives."""
-    if isinstance(t, FnApp):
-        return FnApp(t.symbol, tuple(new_children))
-    if isinstance(t, App):
+    """``t`` with its children replaced, in the order and dispatch of ``children``."""
+    cls = type(t)
+    if cls is App:
         return App(new_children[0], new_children[1])
-    if isinstance(t, Lam):
+    if cls is FnApp:
+        return FnApp(t.symbol, tuple(new_children))
+    if cls is Lam:
         return Lam(t.var, t.ann, new_children[0])
-    if isinstance(t, Pair):
+    if cls is Pair:
         return Pair(new_children[0], new_children[1])
-    if isinstance(t, LetStar):
+    if cls is LetStar:
         return LetStar(new_children[0], new_children[1])
-    if isinstance(t, LetPair):
+    if cls is LetPair:
         return LetPair(t.var1, t.var2, new_children[0], new_children[1])
     raise AssertionError(t)
 

@@ -14,13 +14,17 @@ term (the language is linear), so both terminate.
 equational class using beta, the let laws, eta-contraction of all three
 connectives, evaluation of symbols on literal arguments, and the two
 let-commuting conversions (used to hoist and deterministically order
-let bindings).  ``eq_decide`` compares canonical forms up to
-alpha-renaming; it is sound but deliberately incomplete.
+let bindings).  Each pass rebuilds a node only when a child changed, so
+a pass that fires nowhere returns its input and unchanged subtrees are
+shared; the size bounds of both loops are computed only when reached.
+``eq_decide`` compares canonical forms up to alpha-renaming; it is sound
+but deliberately incomplete.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional
 
 from .core import (
@@ -205,11 +209,12 @@ def evaluate(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
 
 def _contract(t: Term) -> Optional[Term]:
     """One redex contraction at the root, or None."""
-    if isinstance(t, App) and isinstance(t.fn, Lam):
+    cls = type(t)
+    if cls is App and type(t.fn) is Lam:
         return substitute(t.fn.body, t.fn.var, t.arg)
-    if isinstance(t, LetStar) and isinstance(t.scrutinee, Star):
+    if cls is LetStar and type(t.scrutinee) is Star:
         return t.body
-    if isinstance(t, LetPair) and isinstance(t.scrutinee, Pair):
+    if cls is LetPair and type(t.scrutinee) is Pair:
         body = substitute(t.body, t.var1, t.scrutinee.left)
         return substitute(body, t.var2, t.scrutinee.right)
     return None
@@ -230,13 +235,15 @@ def _step_normal_order(t: Term) -> Optional[Term]:
 
 
 def beta_normalize(term: Term) -> Term:
-    """Leftmost-outermost reduction to beta/let normal form."""
-    steps = 0
-    limit = term_size(term) + 1
+    """Leftmost-outermost reduction to beta/let normal form; a normal
+    term is returned as it is."""
+    steps, limit = 0, INF
     while True:
         nxt = _step_normal_order(term)
         if nxt is None:
             return term
+        if not steps:
+            limit = term_size(term) + 1
         term = nxt
         steps += 1
         if steps > limit:
@@ -307,10 +314,18 @@ def literal_diffs(
 # Canonical forms for the equational theory
 
 
+def _map_children(t: Term, f, *args) -> Term:
+    """``t`` with ``f(child, *args)`` for each child; ``t`` itself when
+    every child came back as the same object."""
+    old = children(t)
+    if not old:
+        return t
+    kids = [f(c, *args) for c in old]
+    return t if all(map(operator.is_, kids, old)) else rebuild(t, kids)
+
+
 def _eta_contract(t: Term) -> Term:
-    kids = [_eta_contract(c) for c in children(t)]
-    if kids:
-        t = rebuild(t, kids)
+    t = _map_children(t, _eta_contract)
     if isinstance(t, Lam) and isinstance(t.body, App):
         arg = t.body.arg
         if isinstance(arg, Var) and arg.name == t.var and t.var not in free_vars(t.body.fn):
@@ -337,9 +352,7 @@ def fold_literals(t: Term, registry: SymbolRegistry) -> Term:
     distances over the originals; folding aligns skeletons that differ
     only in evaluated sub-expressions.
     """
-    kids = [fold_literals(c, registry) for c in children(t)]
-    if kids:
-        t = rebuild(t, kids)
+    t = _map_children(t, fold_literals, registry)
     if isinstance(t, FnApp) and all(isinstance(a, Const) for a in t.args):
         sym = registry.get(t.symbol)
         return Const(sym(*[a.value for a in t.args]))
@@ -386,9 +399,13 @@ def _hoist_lets(t: Term) -> Term:
     extraction from an operator child shrinks the sum of let depths and
     leaves scrutinee sizes unchanged.
     """
-    kids = [_hoist_lets(c) for c in children(t)]
-    if kids:
-        t = rebuild(t, kids)
+    return _hoist_root(_map_children(t, _hoist_lets))
+
+
+def _hoist_root(t: Term) -> Term:
+    """``_hoist_lets`` of a term whose children are hoisted already: a
+    lifted let's scrutinee and the subterms it moves stay fixpoints of
+    the pass, so only the new node under the let is fixed."""
     if isinstance(t, Lam):
         return t  # a let is never hoisted past a binder it may mention
     if _is_let(t):
@@ -399,19 +416,10 @@ def _hoist_lets(t: Term) -> Term:
             ib, iscrut, ibody = _let_parts(scrut)
             clashes = set(ib) & (free_vars(body) | set(binders))
             ib, ibody = _rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
-            return _hoist_lets(_make_let(ib, iscrut, _make_let(binders, ibody, body)))
+            return _make_let(ib, iscrut, _hoist_root(_make_let(binders, ibody, body)))
         return t
-    lifted = _extract_let(t)
-    if lifted is not None:
-        return _hoist_lets(lifted)
-    return t
-
-
-def _extract_let(t: Term) -> Optional[Term]:
-    """Float a let out of an immediate child of an operator node."""
-    if isinstance(t, Lam) or _is_let(t) or not children(t):
-        return None
-    kids = list(children(t))
+    # float a let out of an immediate child of an operator node
+    kids = children(t)
     for i, c in enumerate(kids):
         if _is_let(c):
             binders, scrut, body = _let_parts(c)
@@ -423,15 +431,14 @@ def _extract_let(t: Term) -> Optional[Term]:
             binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
             kids_new = list(kids)
             kids_new[i] = body
-            return _make_let(binders, scrut, rebuild(t, kids_new))
-    return None
+            return _make_let(binders, scrut, _hoist_root(rebuild(t, kids_new)))
+    return t
 
 
 def _mask_literals(t: Term) -> Term:
     if isinstance(t, Const):
         return Const(0.0)
-    kids = [_mask_literals(c) for c in children(t)]
-    return rebuild(t, kids) if kids else t
+    return _map_children(t, _mask_literals)
 
 
 def _let_sort_key(t: Term) -> tuple[str, str]:
@@ -442,9 +449,11 @@ def _let_sort_key(t: Term) -> tuple[str, str]:
 
 
 def _sort_lets(t: Term) -> Term:
-    kids = [_sort_lets(c) for c in children(t)]
-    if kids:
-        t = rebuild(t, kids)
+    return _sort_root(_map_children(t, _sort_lets))
+
+
+def _sort_root(t: Term) -> Term:
+    """``_sort_lets`` of a term whose children are sorted already."""
     changed = True
     while changed:
         changed = False
@@ -453,7 +462,7 @@ def _sort_lets(t: Term) -> Term:
             b2, s2, body = _let_parts(inner)
             independent = not (set(b1) & free_vars(s2)) and not (set(b2) & free_vars(s1))
             if independent and _let_sort_key(inner) < _let_sort_key(t):
-                t = _make_let(b2, s2, _sort_lets(_make_let(b1, s1, body)))
+                t = _make_let(b2, s2, _sort_root(_make_let(b1, s1, body)))
                 changed = True
     return t
 
@@ -462,7 +471,7 @@ def eq_canonical(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
     """Canonical representative; every rewrite step is derivable."""
     registry = registry if registry is not None else default_registry()
     t = beta_normalize(term)
-    for _ in range(term_size(term) + 8):
+    for rounds in itertools.count(1):
         # order lets before eta-contraction can dissolve a chain, so that
         # permuted chains reach the same representative
         t2 = _hoist_lets(t)
@@ -473,6 +482,8 @@ def eq_canonical(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
         if t2 == t:
             break
         t = t2
+        if rounds > 8 and rounds >= term_size(term) + 8:  # sized only past 8 rounds
+            break
     return t
 
 

@@ -531,8 +531,11 @@ def replay_obs_witness(
     w: ObsWitness, m: Term, n: Term, registry: Optional[SymbolRegistry] = None
 ) -> bool:
     registry = registry if registry is not None else default_registry()
-    vm = evaluate(plug(w.context, m), registry)
-    vn = evaluate(plug(w.context, n), registry)
+    try:  # where no context evaluates, the witness holds the unevaluated pair
+        vm = evaluate(plug(w.context, m), registry)
+        vn = evaluate(plug(w.context, n), registry)
+    except LinError:
+        return False
     return vm == w.lhs_value and vn == w.rhs_value
 
 

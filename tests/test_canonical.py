@@ -1,0 +1,122 @@
+"""Canonical forms are pinned, and the invariants their passes rely on hold.
+
+``tests/golden/eq_canonical.txt`` holds one BLAKE2b digest per line of
+``print_term(eq_canonical(t))`` for the terms ``canonical_corpus`` yields
+at each of ``SEEDS``.  Regenerate it, only on purpose, with
+
+    PYTHONPATH=src python tests/test_canonical.py
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from linmetric import gen
+from linmetric.core import Const, Lam, Var, children, free_vars, print_term, rebuild
+from linmetric.dynamics import (
+    _eta_contract,
+    _hoist_lets,
+    _is_let,
+    _let_parts,
+    _make_let,
+    _rename_binders,
+    _sort_lets,
+    beta_normalize,
+    eq_canonical,
+    fold_literals,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "eq_canonical.txt"
+REG = gen.corpus_registry()
+SEEDS = (0, 977)
+PAIRS = 200
+
+
+def canonical_corpus(seed: int):
+    """``(label, term)``: both sides of each typed pair and an equal
+    variant of the left one."""
+    vrng = random.Random(seed)
+    for i, (_, ty, m, n) in enumerate(gen.typed_pair_corpus(seed, PAIRS, REG)):
+        yield f"{seed}/{i}/m", m
+        yield f"{seed}/{i}/n", n
+        yield f"{seed}/{i}/v", gen.equal_variant(vrng, m, ty, REG)
+
+
+def digest_lines() -> list[str]:
+    return [
+        f"{label} {hashlib.blake2b(print_term(eq_canonical(t, REG)).encode(), digest_size=16).hexdigest()}"
+        for seed in SEEDS
+        for label, t in canonical_corpus(seed)
+    ]
+
+
+def test_canonical_forms_match_golden():
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = digest_lines()
+    assert len(got) == len(want)
+    assert [g for g, w in zip(got, want) if g != w] == []
+
+
+CORPUS = [t for seed in SEEDS for _, t in canonical_corpus(seed)]
+
+
+def hoist_by_rewalk(t):
+    """The hoisting pass as first written: after each let it lifts, it
+    walks the whole new term again."""
+    kids = [hoist_by_rewalk(c) for c in children(t)]
+    if kids:
+        t = rebuild(t, kids)
+    if isinstance(t, Lam):
+        return t
+    if _is_let(t):
+        binders, scrut, body = _let_parts(t)
+        if _is_let(scrut):
+            ib, iscrut, ibody = _let_parts(scrut)
+            clashes = set(ib) & (free_vars(body) | set(binders))
+            ib, ibody = _rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
+            return hoist_by_rewalk(_make_let(ib, iscrut, _make_let(binders, ibody, body)))
+        return t
+    kids = children(t)
+    for i, c in enumerate(kids):
+        if _is_let(c):
+            binders, scrut, body = _let_parts(c)
+            sibling_fv = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
+            clashes = set(binders) & sibling_fv
+            binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
+            return hoist_by_rewalk(_make_let(binders, scrut, rebuild(t, kids[:i] + (body,) + kids[i + 1 :])))
+    return t
+
+
+def test_hoisting_in_one_pass_matches_the_rewalk_and_is_idempotent():
+    for t in CORPUS:
+        for u in (t, beta_normalize(t)):
+            h = _hoist_lets(u)
+            assert print_term(h) == print_term(hoist_by_rewalk(u))
+            assert _hoist_lets(h) == h
+
+
+def test_each_pass_returns_a_canonical_form_itself():
+    for t in CORPUS:
+        n = beta_normalize(t)
+        assert beta_normalize(n) is n
+        c = eq_canonical(t, REG)
+        for out in (_hoist_lets(c), _sort_lets(c), _eta_contract(c), fold_literals(c, REG), beta_normalize(c)):
+            assert out is c
+
+
+class Tagged(Var):
+    """Not a term: the walkers dispatch on the exact class."""
+
+
+@pytest.mark.parametrize("bad", [42, "x", None, Tagged("x")])
+def test_children_and_rebuild_reject_a_non_term(bad):
+    with pytest.raises(AssertionError):
+        children(bad)
+    with pytest.raises(AssertionError):
+        rebuild(bad, [Const(0.0)])
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("\n".join(digest_lines()) + "\n", encoding="utf-8")

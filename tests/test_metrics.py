@@ -127,6 +127,13 @@ def test_obs_identity_probe():
     assert replay_obs_witness(w, parse_term("k 0.0"), parse_term("k 1.0"))
 
 
+def test_replay_is_false_where_no_context_evaluates():
+    m, n = parse_term("add(1e308, 1e308)"), parse_term("1.0")
+    lo, w = obs_lower_bound(EMPTY_ENV, R, m, n)
+    assert (lo, w.context) == (0.0, HOLE)
+    assert replay_obs_witness(w, m, n) is False
+
+
 def test_obs_equal_terms():
     m = parse_term("sin(1.0)")
     lo, _ = obs_lower_bound(EMPTY_ENV, R, m, m)
