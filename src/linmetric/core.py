@@ -374,7 +374,7 @@ class Env:
             raise TypeError_(f"duplicate variable in environment: {names}")
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.bindings)
+        return tuple([n for n, _ in self.bindings])
 
     def lookup(self, name: str) -> Ty:
         for n, t in self.bindings:
@@ -767,8 +767,13 @@ class _Lexer:
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_found(tok[0], tok[1])}", tok[2])
         return tok
+
+
+def _found(kind: str, text: str) -> str:
+    """A token as a parse error names it."""
+    return "end of input" if kind == "eof" else repr(text)
 
 
 # The deepest nesting of terms and types the parser accepts.  Every
@@ -848,7 +853,7 @@ class _Parser:
             t = self.parse_type()
             self.lx.expect(")")
             return t
-        raise ParseError(f"expected a type, found {text!r}", pos)
+        raise ParseError(f"expected a type, found {_found(kind, text)}", pos)
 
     # -- terms
 
@@ -885,7 +890,7 @@ class _Parser:
         _, v1, p1 = self.lx.expect("ident")
         if not self.lx.at_tensor_marker():
             tok = self.lx.peek()
-            raise ParseError(f"expected '(x)' in pair pattern, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected '(x)' in pair pattern, found {_found(tok[0], tok[1])}", tok[2])
         self.lx.eat_tensor_marker()
         _, v2, p2 = self.lx.expect("ident")
         for name, p in ((v1, p1), (v2, p2)):
@@ -899,7 +904,7 @@ class _Parser:
     def _expect_kw(self, word: str):
         kind, text, pos = self.lx.next()
         if kind != "ident" or text != word:
-            raise ParseError(f"expected {word!r}, found {text!r}", pos)
+            raise ParseError(f"expected {word!r}, found {_found(kind, text)}", pos)
 
     def _parse_tensor(self) -> Term:
         t = self._parse_app()
@@ -967,6 +972,8 @@ class _Parser:
             if text in self.registry:
                 raise ParseError(f"registered symbol {text!r} must be applied as {text}(...)", pos)
             return Var(text)
+        if kind == "eof":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {text!r}", pos)
 
 
@@ -983,15 +990,17 @@ def parse_type(text: str) -> Ty:
 
 def parse_env(text: str) -> Env:
     """Environment syntax: 'x:R -o R, y:R' (comma separated, ordered)."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return EMPTY_ENV
-    bindings = []
+    bindings, pos = [], 0
     for part in text.split(","):
         if ":" not in part:
-            raise ParseError(f"bad environment entry {part!r}", 0)
+            end = pos + len(part) == len(text)
+            found = repr(part.strip()) if part.strip() else "end of input" if end else "','"
+            raise ParseError(f"expected an environment entry 'name:type', found {found}", pos)
         name, ty = part.split(":", 1)
         bindings.append((name.strip(), parse_type(ty.strip())))
+        pos += len(part) + 1
     return Env(tuple(bindings))
 
 
@@ -1050,6 +1059,23 @@ class Derivation:
     children: tuple["Derivation", ...] = ()
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _derivation(term: Term, env: Env, ty: Ty, splits: tuple = (), kids: tuple = ()) -> Derivation:
+    """A ``Derivation`` built without the frozen ``__init__``; nothing changes it after."""
+    d = _new(Derivation)
+    _set(d, "__dict__", {"term": term, "env": env, "ty": ty, "splits": splits, "children": kids})
+    return d
+
+
+def _env(bindings: tuple[tuple[str, Ty], ...]) -> Env:
+    """An ``Env`` of names known to be distinct, built without the duplicate check."""
+    env = _new(Env)
+    _set(env, "bindings", bindings)
+    return env
+
+
 class _Checker:
     """Linear typing in one pass, reading each split off the premises.
 
@@ -1060,6 +1086,12 @@ class _Checker:
     name of ``check``'s environment, that goes unused is an error.  A hole
     uses exactly the hole environment, which must be the part of ``scope``
     it names, in order and with the same types.
+
+    The environments the checker builds itself skip ``Env``'s duplicate
+    check: each is one binding, a part of ``scope`` (a dict, whose keys
+    are distinct) in scope order, or a prefix of such a part.  The
+    environment passed to ``check`` and the hole environment come from the
+    caller, were checked when they were built, and are used as they are.
     """
 
     def __init__(self, registry: SymbolRegistry, hole: Optional[tuple[Env, Ty]] = None):
@@ -1074,24 +1106,13 @@ class _Checker:
         return d
 
     def _check(self, scope: dict[str, Ty], t: Term) -> Derivation:
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             if t.name not in scope:
                 raise TypeError_(f"unbound variable {t.name!r}")
             ty = scope[t.name]
-            return Derivation(t, Env(((t.name, ty),)), ty)
-        if isinstance(t, Const):
-            return Derivation(t, EMPTY_ENV, R)
-        if isinstance(t, Star):
-            return Derivation(t, EMPTY_ENV, I)
-        if isinstance(t, Hole):
-            if self.hole is None:
-                raise TypeError_("hole in a plain term")
-            henv, hty = self.hole
-            named = _used(scope, set(henv.names()))
-            if named != henv:
-                raise TypeError_(f"hole expects environment {list(henv)}, got {list(named)}")
-            return Derivation(t, henv, hty)
-        if isinstance(t, FnApp):
+            return _derivation(t, _env(((t.name, ty),)), ty)
+        if cls is FnApp:
             sym = self.registry.get(t.symbol)
             if len(t.args) != sym.arity:
                 raise TypeError_(f"symbol {t.symbol!r} has arity {sym.arity}, got {len(t.args)}")
@@ -1100,7 +1121,9 @@ class _Checker:
                 if d.ty != R:
                     raise TypeError_(f"argument of {t.symbol!r} must be R, got {print_type(d.ty)}")
             return _node(scope, t, R, [d.env for d in subs], subs)
-        if isinstance(t, App):
+        if cls is Const:
+            return _derivation(t, EMPTY_ENV, R)
+        if cls is App:
             df = self._check(scope, t.fn)
             if not isinstance(df.ty, TLolli):
                 raise TypeError_(f"application head has type {print_type(df.ty)}, not a function")
@@ -1110,20 +1133,20 @@ class _Checker:
                     f"argument type {print_type(da.ty)} does not match {print_type(df.ty.arg)}"
                 )
             return _node(scope, t, df.ty.res, [df.env, da.env], [df, da])
-        if isinstance(t, Lam):
+        if cls is Lam:
             db = self._check(_bind(scope, ((t.var, t.ann),)), t.body)
-            return Derivation(t, _unbind(db.env, (t.var,)), TLolli(t.ann, db.ty), (), (db,))
-        if isinstance(t, Pair):
+            return _derivation(t, _unbind(db.env, (t.var,)), TLolli(t.ann, db.ty), (), (db,))
+        if cls is Pair:
             dl = self._check(scope, t.left)
             dr = self._check(scope, t.right)
             return _node(scope, t, TTensor(dl.ty, dr.ty), [dl.env, dr.env], [dl, dr])
-        if isinstance(t, LetStar):
+        if cls is LetStar:
             ds = self._check(scope, t.scrutinee)
             if ds.ty != I:
                 raise TypeError_(f"let * scrutinee must be I, got {print_type(ds.ty)}")
             db = self._check(scope, t.body)
             return _node(scope, t, db.ty, [ds.env, db.env], [ds, db])
-        if isinstance(t, LetPair):
+        if cls is LetPair:
             ds = self._check(scope, t.scrutinee)
             if not isinstance(ds.ty, TTensor):
                 raise TypeError_(f"let (x) scrutinee must be a tensor, got {print_type(ds.ty)}")
@@ -1133,12 +1156,22 @@ class _Checker:
             db = self._check(_bind(scope, binders), t.body)
             eb = _unbind(db.env, (t.var1, t.var2))
             return _node(scope, t, db.ty, [ds.env, eb], [ds, db])
+        if cls is Star:
+            return _derivation(t, EMPTY_ENV, I)
+        if cls is Hole:
+            if self.hole is None:
+                raise TypeError_("hole in a plain term")
+            henv, hty = self.hole
+            named = _used(scope, set(henv.names()))
+            if named != henv:
+                raise TypeError_(f"hole expects environment {list(henv)}, got {list(named)}")
+            return _derivation(t, henv, hty)
         raise AssertionError(t)
 
 
 def _used(scope: dict[str, Ty], names: set[str]) -> Env:
     """The bindings of ``scope`` named in ``names``, in scope order."""
-    return Env(tuple(b for b in scope.items() if b[0] in names))
+    return _env(tuple([b for b in scope.items() if b[0] in names]))
 
 
 def _bind(scope: dict[str, Ty], binders: tuple[tuple[str, Ty], ...]) -> dict[str, Ty]:
@@ -1155,21 +1188,23 @@ def _unbind(env: Env, binders: tuple[str, ...]) -> Env:
     unused = [v for v in binders if v not in env.names()]
     if unused:
         raise TypeError_(f"bound variable {unused[0]!r} unused (linearity violation)")
-    return Env(env.bindings[: -len(binders)])
+    return _env(env.bindings[: -len(binders)])
 
 
 def _node(
     scope: dict[str, Ty], t: Term, ty: Ty, parts: list[Env], subs: list[Derivation]
 ) -> Derivation:
     """The derivation of ``t`` whose premises used the disjoint ``parts`` of ``scope``."""
-    split = tuple(p.names() for p in parts)
-    used: set[str] = set()
-    for names in split:
-        twice = used.intersection(names)
-        if twice:
-            raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
-        used.update(names)
-    return Derivation(t, _used(scope, used), ty, (split,), tuple(subs))
+    split = tuple([p.names() for p in parts])
+    used = set().union(*split)
+    if len(used) != sum(map(len, split)):
+        seen: set[str] = set()
+        for names in split:
+            twice = seen.intersection(names)
+            if twice:
+                raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
+            seen.update(names)
+    return _derivation(t, _used(scope, used), ty, (split,), tuple(subs))
 
 
 def typecheck(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) -> Ty:

@@ -58,6 +58,17 @@ def test_typecheck_nonlinear(workdir, capsys):
     assert "linearity" in capsys.readouterr().err
 
 
+def test_typecheck_error_text(workdir, capsys):
+    assert main(["typecheck", str(workdir / "nonlinear.lin")]) == 1
+    assert capsys.readouterr().err == "error: variable(s) used twice: ['x'] (linearity violation)\n"
+
+
+def test_typecheck_rejects_an_env_that_repeats_a_name(workdir, capsys):
+    assert main(["typecheck", "--env", "x:R, x:R", str(workdir / "k2.lin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate variable in environment") and "Traceback" not in err
+
+
 def test_eval_and_normalize(workdir, capsys):
     assert main(["eval", str(workdir / "redex.lin")]) == 0
     assert capsys.readouterr().out.strip() == "5.0"

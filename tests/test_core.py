@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linmetric.core import (
     App,
@@ -24,8 +25,10 @@ from linmetric.core import (
     Symbol,
     TLolli,
     TTensor,
+    Ty,
     TypeError_,
     Var,
+    _Checker,
     check_context,
     children,
     const_paths,
@@ -48,7 +51,7 @@ from linmetric.core import (
     typecheck,
     type_polarity,
 )
-from linmetric.gen import corpus_registry, typed_pair_corpus
+from linmetric.gen import corpus_registry, gen_feasible_pair_site, gen_term, mutate, typed_pair_corpus
 
 REG = default_registry()
 
@@ -245,6 +248,114 @@ def test_hole_uses_the_innermost_binding_of_a_name():
     # plugging any x:R |- M : R gives (\x:R. M) x, typed under x:R
     ctx = parse_term(r"(\x:R. [-]) x")
     assert check_context(ctx, (env_of(("x", R)), R), (env_of(("x", R)), R))
+
+
+_F3 = SymbolRegistry([Symbol("add", 2, lambda a, b: a + b), Symbol("f3", 3, lambda a, b, c: a)])
+
+# (env, term, registry, the TypeError_ text): one case per message _Checker raises
+CHECKER_ERRORS = [
+    (EMPTY_ENV, Var("x"), REG, "unbound variable 'x'"),
+    (EMPTY_ENV, HOLE, REG, "hole in a plain term"),
+    (env_of(("x", R)), FnApp("sin", (Var("x"), Const(1.0))), REG, "symbol 'sin' has arity 1, got 2"),
+    (EMPTY_ENV, FnApp("sin", (STAR,)), REG, "argument of 'sin' must be R, got I"),
+    (EMPTY_ENV, App(Const(1.0), Const(2.0)), REG, "application head has type R, not a function"),
+    (EMPTY_ENV, App(Lam("x", R, Var("x")), STAR), REG, "argument type I does not match R"),
+    (EMPTY_ENV, LetStar(Const(1.0), STAR), REG, "let * scrutinee must be I, got R"),
+    (EMPTY_ENV, LetPair("a", "b", Const(1.0), STAR), REG, "let (x) scrutinee must be a tensor, got R"),
+    (EMPTY_ENV, LetPair("a", "a", Pair(STAR, STAR), STAR), REG, "let (x) binds 'a' twice"),
+    (EMPTY_ENV, Lam("x", R, Const(3.0)), REG, "bound variable 'x' unused (linearity violation)"),
+    (
+        EMPTY_ENV,
+        LetPair("a", "b", Pair(Const(1.0), Const(2.0)), Var("a")),
+        REG,
+        "bound variable 'b' unused (linearity violation)",
+    ),
+    (env_of(("x", R)), Pair(Var("x"), Var("x")), REG, "variable(s) used twice: ['x'] (linearity violation)"),
+    # the first premise that repeats a name is reported, with the names it repeats
+    (
+        env_of(("x", R), ("y", R)),
+        FnApp("f3", (FnApp("add", (Var("x"), Var("y"))), Var("x"), Var("y"))),
+        _F3,
+        "variable(s) used twice: ['x'] (linearity violation)",
+    ),
+    (env_of(("x", R), ("y", R), ("z", R)), Var("y"), REG, "unused variable(s): ['x', 'z'] (linearity violation)"),
+]
+
+
+@pytest.mark.parametrize("env, t, registry, message", CHECKER_ERRORS)
+def test_checker_error_messages(env, t, registry, message):
+    with pytest.raises(TypeError_) as e:
+        typecheck(env, t, registry)
+    assert str(e.value) == message
+
+
+def test_hole_error_message():
+    ctx = parse_term(r"\x:R. \y:R. add([-], 1.0)")
+    checker = _Checker(REG, hole=(env_of(("y", R), ("x", R)), R))
+    with pytest.raises(TypeError_) as e:
+        checker.check(EMPTY_ENV, ctx)
+    assert str(e.value) == "hole expects environment [('y', R), ('x', R)], got [('x', R), ('y', R)]"
+
+
+def test_environments_from_outside_the_checker_reject_a_repeated_name():
+    for build in (
+        lambda: Env((("x", R), ("x", R))),
+        lambda: env_of(("x", R), ("y", I), ("x", R)),
+        lambda: parse_env("x:R, x:R"),
+    ):
+        with pytest.raises(TypeError_, match="duplicate variable in environment"):
+            build()
+
+
+def test_derive_builds_its_environments_without_the_duplicate_check(monkeypatch):
+    env = env_of(("p", TTensor(R, R)), ("z", R))
+    t = parse_term(r"let a (x) b = p in (\y:R. add(add(a, y), b)) z")
+    runs = []
+    checked = Env.__post_init__
+    monkeypatch.setattr(Env, "__post_init__", lambda self: runs.append(self) or checked(self))
+    d = derive(env, t)
+    assert (d.ty, d.env) == (R, env)
+    assert runs == []
+
+
+def _assert_well_formed(d):
+    """Every node's env re-validates, no split uses a name twice, and the
+    premise envs follow the free variables."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        assert Env(node.env.bindings) == node.env
+        for split in node.splits:
+            assert sum(map(len, split)) == len(set().union(*split))
+        stack.extend(node.children)
+    _premise_envs_follow_free_variables(d)
+
+
+def _spoil(rng, t, names):
+    """``t`` with one random position replaced by a variable, often ill-typed."""
+    return replace_at(t, rng.choice(list(paths(t))), Var(rng.choice(names)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_checker_on_generated_terms(rng):
+    # terms as gen draws them, with hypothesis's choices in place of a
+    # seeded generator so that a failure shrinks
+    registry = corpus_registry()
+    env, ty = gen_feasible_pair_site(rng)
+    m = gen_term(rng, env, ty, registry, fuel=rng.randint(1, 5))
+    d = derive(env, m, registry)
+    assert (d.ty, d.env) == (ty, env)
+    _assert_well_formed(d)
+    # environment names, gen's binder names and an unbound name
+    names = ["v0", "v1", "w1", "w2", "w3", "x"]
+    for n in (mutate(rng, m), _spoil(rng, mutate(rng, m), names)):
+        try:
+            d = derive(env, n, registry)
+        except TypeError_:
+            continue
+        assert isinstance(d.ty, Ty) and d.env == env
+        _assert_well_formed(d)
 
 
 # -- polarity ---------------------------------------------------------------
@@ -474,6 +585,23 @@ def test_names_of_arity():
     reg = corpus_registry()
     assert reg.names_of_arity(1) == ["cos", "sin"]
     assert reg.names_of_arity(2) == ["add", "max", "min"]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_term, r"(\x:R. x) *", "unexpected end of input (at offset 11)"),
+        (parse_term, "(1.0", "expected ')', found end of input (at offset 4)"),
+        (parse_type, "R (x)", "expected a type, found end of input (at offset 5)"),
+        (parse_term, "let a", "expected '(x)' in pair pattern, found end of input (at offset 5)"),
+        (parse_term, "let * = *", "expected 'in', found end of input (at offset 9)"),
+        (parse_env, "x:R,", "expected an environment entry 'name:type', found end of input (at offset 4)"),
+    ],
+)
+def test_parse_errors_name_the_end_of_input(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
 
 
 def test_parser_rejects_symbol_as_variable():
