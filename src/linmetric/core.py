@@ -49,7 +49,7 @@ class LinError(Exception):
 class ParseError(LinError):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} (at offset {pos})")
-        self.pos = pos
+        self.msg, self.pos = msg, pos
 
 
 class TypeError_(LinError):
@@ -680,6 +680,7 @@ def neg_atoms(t: Ty) -> tuple[str, ...]:
 
 
 _SYMBOL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789'"
+_IDENT_START = _SYMBOL_CHARS[:53]  # letters and '_'
 
 
 class _Lexer:
@@ -729,7 +730,7 @@ class _Lexer:
                     raise ParseError(f"numeric literal {text[i:j]!r} is out of range", start)
                 self.tokens.append(("num", text[i:j], start))
                 i = j
-            elif c.isalpha() or c == "_":
+            elif c in _IDENT_START:
                 j = i
                 while j < n and text[j] in _SYMBOL_CHARS:
                     j += 1
@@ -989,7 +990,8 @@ def parse_type(text: str) -> Ty:
 
 
 def parse_env(text: str) -> Env:
-    """Environment syntax: 'x:R -o R, y:R' (comma separated, ordered)."""
+    """Environment syntax: 'x:R -o R, y:R' (comma separated, ordered).
+    A name is one identifier other than ``let`` and ``in``."""
     if not text.strip():
         return EMPTY_ENV
     bindings, pos = [], 0
@@ -999,7 +1001,15 @@ def parse_env(text: str) -> Env:
             found = repr(part.strip()) if part.strip() else "end of input" if end else "','"
             raise ParseError(f"expected an environment entry 'name:type', found {found}", pos)
         name, ty = part.split(":", 1)
-        bindings.append((name.strip(), parse_type(ty.strip())))
+        key = name.strip()
+        bad = key in ("", "let", "in") or key[0] not in _IDENT_START
+        if bad or any(c not in _SYMBOL_CHARS for c in key):
+            at = pos + len(name) - len(name.lstrip())
+            raise ParseError(f"expected a variable name, found {key or ':'!r}", at)
+        try:
+            bindings.append((key, parse_type(ty)))
+        except ParseError as e:  # report the offset in the whole environment
+            raise ParseError(e.msg, pos + len(name) + 1 + e.pos) from None
         pos += len(part) + 1
     return Env(tuple(bindings))
 

@@ -125,19 +125,21 @@ def compile_term(
     length, so a binder always takes the next index, also when its name
     shadows one already in ``slots``.  ``semint.int_term_denotation``
     compiles with it too: a wire term is a term over the wire variables.
+    Like ``core.children`` it dispatches on the exact class.
     """
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         i = slots[t.name]
         return lambda env: env[i]
-    if isinstance(t, Const):
+    if cls is Const:
         value = t.value
         return lambda env: value
-    if isinstance(t, Star):
+    if cls is Star:
         return lambda env: UNIT
     if id(t) in slots:  # hoisted parts are never leaves
         i = slots[id(t)]
         return lambda env: env[i]
-    if isinstance(t, FnApp):
+    if cls is FnApp:
         f = registry.get(t.symbol).evaluator
         args = [compile_term(a, slots, depth, registry) for a in t.args]
         if len(args) == 1:
@@ -159,10 +161,10 @@ def compile_term(
 
         def nary(env: tuple) -> Value:
             vals = [a(env) for a in args]
-            return BOTTOM if any(a is BOTTOM for a in vals) else f(*vals)
+            return BOTTOM if BOTTOM in vals else f(*vals)
 
         return nary
-    if isinstance(t, App):
+    if cls is App:
         fn = compile_term(t.fn, slots, depth, registry)
         arg = compile_term(t.arg, slots, depth, registry)
 
@@ -175,7 +177,7 @@ def compile_term(
             raise TypeError_("application of a non-function denotation")
 
         return app
-    if isinstance(t, Lam):
+    if cls is Lam:
         inner = _rebind(slots, t.var)
         parts = _invariant_parts(t.body, t.var, inner)
         hoisted = [compile_term(s, slots, depth, registry) for s in parts]
@@ -192,11 +194,11 @@ def compile_term(
             return lambda v: body(outer + (v,))
 
         return lam
-    if isinstance(t, Pair):
+    if cls is Pair:
         left = compile_term(t.left, slots, depth, registry)
         right = compile_term(t.right, slots, depth, registry)
         return lambda env: (left(env), right(env))
-    if isinstance(t, LetStar):
+    if cls is LetStar:
         scrutinee = compile_term(t.scrutinee, slots, depth, registry)
         body = compile_term(t.body, slots, depth, registry)
 
@@ -206,7 +208,7 @@ def compile_term(
             return body(env)
 
         return let_star
-    if isinstance(t, LetPair):
+    if cls is LetPair:
         scrutinee = compile_term(t.scrutinee, slots, depth, registry)
         inner = {**_rebind(slots, t.var1, t.var2), t.var1: depth, t.var2: depth + 1}
         body = compile_term(t.body, inner, depth + 2, registry)

@@ -17,9 +17,10 @@ rounds.
 
 A strategy is built once per typing derivation: ``_routes`` works out
 which input wires each premise reads and where the premises'
-environment outputs go, and the widths are checked then, so a step only
-indexes tuples and calls its premises' steps bare; ``interp_int`` wraps
-the whole strategy in one ``WireFunction``, which checks outside calls.
+environment outputs go, and the widths are checked and each node's
+gathers fixed then, so a step only calls ``itemgetter``s and its
+premises' steps bare; ``interp_int`` wraps the whole strategy in one
+``WireFunction``, which checks outside calls.
 
 For a beta-normal term the whole strategy is equivalent to a tuple of
 first-order terms, one per output wire, over variables naming the input
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -230,11 +232,21 @@ def _routes(d: Derivation) -> tuple[list[list[int]], list[int], list[int]]:
     return pos, [len(block) for block in neg], gather
 
 
+def _gather(ix: list[int]) -> Callable[[tuple], tuple]:
+    """``lambda x: tuple([x[i] for i in ix])`` as one C call: a slice if
+    ``ix`` is a run, as every list of at most one index is."""
+    start = ix[0] if ix else 0
+    if ix == list(range(start, start + len(ix))):
+        return itemgetter(slice(start, start + len(ix)))
+    return itemgetter(*ix)
+
+
 def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple], int, int]:
     """The bare step of ``d``'s strategy, and its input and output widths.
 
     Steps call their premises' steps unchecked: each node's widths are
-    checked here, once, and a mismatch is a ``ModelError``."""
+    checked here, once, and a mismatch is a ``ModelError``; the gathers
+    that pick each premise's inputs and the node's outputs are made here."""
     t, ty = d.term, d.ty
     m, n = map(len, _wire_types(d.env, ty))
 
@@ -245,7 +257,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
     if isinstance(t, Var):
         p = len(pos_atoms(ty))
         check("result", m, n)
-        return (lambda inputs: inputs[p:] + inputs[:p]), m, n
+        return _gather([*range(p, m), *range(p)]), m, n
 
     if isinstance(t, (Const, Star)):
         check("result", 1, n)
@@ -277,32 +289,42 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
         z = list(range(m, m + len(z_types)))
         c_pos, c_neg = z[: len(z) - sn], z[len(z) - sn:]
         extra = [c_neg, c_pos + t_neg] if c else [c_pos + t_neg, c_neg]
-    parts = [(step, pos + x) for (step, _, _), pos, x in zip(subs, pos_idx, extra)]
-    # the premises' outputs laid end to end: each one's environment outputs, then its results
-    env_out, results, s = [], [], 0
-    for (_, k_in, k_out), k, (_, ix) in zip(subs, ks, parts):
+    # each premise's step and input gather; the premises' outputs laid end
+    # to end: each one's environment outputs, then its results
+    parts, env_out, results, s = [], [], [], 0
+    for (step, k_in, k_out), pos, x, k in zip(subs, pos_idx, extra, ks):
+        ix = pos + x
         check("premise input", len(ix), k_in)
+        parts.append((step, _gather(ix)))
         env_out += range(s, s + k)
         results.append(list(range(s + k, s + k_out)))
         s += k_out
     env_out = [env_out[g] for g in gather]
 
-    def premises(x: tuple) -> tuple:
-        flat: tuple = ()
-        for step, ix in parts:
-            flat += step(tuple([x[i] for i in ix]))
-        return flat
+    if len(parts) == 1:
+        (s0, g0), = parts
+        premises = lambda x: s0(g0(x))
+    elif len(parts) == 2:
+        (s0, g0), (s1, g1) = parts
+        premises = lambda x: s0(g0(x)) + s1(g1(x))
+    else:
+
+        def premises(x: tuple) -> tuple:
+            flat: tuple = ()
+            for step, g in parts:
+                flat += step(g(x))
+            return flat
 
     if isinstance(t, FnApp):
         sym = reg.get(t.symbol).evaluator
-        args = [r[0] for r in results]
+        args = _gather([r[0] for r in results])
         check("result", len(env_out) + 1, n)
+        env_part = _gather(env_out)
 
         def step(inputs: tuple) -> tuple:
             flat = premises(inputs)
-            vals = [flat[i] for i in args]
-            r = BOTTOM if any(v is BOTTOM for v in vals) else sym(*vals)
-            return tuple([flat[i] for i in env_out]) + (r,)
+            vals = args(flat)
+            return env_part(flat) + (BOTTOM if BOTTOM in vals else sym(*vals),)
 
         return step, m, n
 
@@ -313,7 +335,7 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
         keep = env_out + results[1]
     else:
         # p's results are sigma's positive atoms, c's start with its negative ones
-        feedback = results[p] + results[c][:sn]
+        feedback = _gather(results[p] + results[c][:sn])
         keep = env_out + results[c][sn:]
 
         def outputs(inputs: tuple) -> tuple:
@@ -323,17 +345,13 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
             def advance(z: tuple) -> tuple:
                 nonlocal flat
                 flat = premises(inputs + z)
-                return tuple([flat[i] for i in feedback])
+                return feedback(flat)
 
             _iterate_feedback(advance, z_types)
             return flat
     check("result", len(keep), n)
-
-    def step(inputs: tuple) -> tuple:
-        flat = outputs(inputs)
-        return tuple([flat[i] for i in keep])
-
-    return step, m, n
+    kept = _gather(keep)
+    return (lambda inputs: kept(outputs(inputs))), m, n
 
 
 # ---------------------------------------------------------------------------

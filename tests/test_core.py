@@ -484,6 +484,36 @@ def test_tensor_of():
 def test_parse_env():
     env = parse_env("k:R -o I, x:R")
     assert env.bindings == (("k", TLolli(R, I)), ("x", R))
+    assert parse_env(" x' : R ,_a1:I").bindings == (("x'", R), ("_a1", I))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x y:R", "expected a variable name, found 'x y' (at offset 0)"),
+        (":R", "expected a variable name, found ':' (at offset 0)"),
+        ("x:R,  :R", "expected a variable name, found ':' (at offset 6)"),
+        ("x:R, 1:R", "expected a variable name, found '1' (at offset 5)"),
+        ("let:R", "expected a variable name, found 'let' (at offset 0)"),
+        ("x:R, in:R", "expected a variable name, found 'in' (at offset 5)"),
+        ("x\u00e9:R", "expected a variable name, found 'x\u00e9' (at offset 0)"),
+        # a bad type is reported at its offset in the whole environment
+        ("x:R, y:", "expected a type, found end of input (at offset 7)"),
+        ("x:R, y:R (x)", "expected a type, found end of input (at offset 12)"),
+        ("x:R, y: Q", "expected a type, found 'Q' (at offset 8)"),
+    ],
+)
+def test_parse_env_rejects_bad_entries_at_their_offset(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_env(text)
+    assert str(e.value) == message
+
+
+def test_lexer_rejects_a_letter_outside_ascii():
+    # not an identifier: taken as an empty one, it made the lexer loop forever
+    for text, at in (("\u00e9", 0), ("x\u00e9", 1), ("\\\u03bb:R. \u03bb", 1)):
+        with pytest.raises(ParseError, match=f"unexpected character .* \\(at offset {at}\\)"):
+            parse_term(text)
 
 
 def test_registry_rejects_unknown_kind():

@@ -31,6 +31,7 @@ from linmetric.semden import (
     BOTTOM,
     ProbeBattery,
     UNIT,
+    compile_term,
     den_distance,
     ground_l1,
     interp_den,
@@ -328,3 +329,19 @@ def test_application_and_let_pair_pass_bottom_through():
     assert f((BOTTOM,)) is BOTTOM
     m = parse_term("let a (x) b = p in add(a, b)")
     assert interp_den(env_of(("p", TTensor(R, R))), m)((BOTTOM,)) is BOTTOM
+
+
+class TaggedVar(Var):
+    """Not a term: ``compile_term`` dispatches on the exact class."""
+
+
+class TaggedFnApp(FnApp):
+    """Not a term either."""
+
+
+@pytest.mark.parametrize(
+    "bad", [TaggedVar("x"), TaggedFnApp("sin", (Var("x"),)), FnApp("sin", (TaggedVar("x"),))]
+)
+def test_compile_term_rejects_a_subclass_of_a_term_class(bad):
+    with pytest.raises(AssertionError):
+        compile_term(bad, {"x": 0}, 1, corpus_registry())

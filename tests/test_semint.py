@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -31,6 +32,7 @@ from linmetric.core import (
 )
 from linmetric.dynamics import beta_normalize, evaluate, literal_diffs
 from linmetric.gen import (
+    beta_normal_corpus,
     corpus_registry,
     feasible_site,
     gen_env,
@@ -709,6 +711,41 @@ def test_environment_outputs_leave_in_environment_order(text, results):
     assert interp_int(env, m)((10.0, 20.0, 40.0)) == (1.0, 2.0, 3.0) + results
     hs, _ = decompose(env, m)
     assert hs[:3] == [Const(1.0), Const(2.0), Const(3.0)]
+
+
+def test_a_bottom_argument_leaves_the_environment_outputs():
+    # add's result is bottom, but k's query wire still carries 1.0 out
+    wf = interp_int(parse_env("k:R -o R, x:R"), parse_term("add(k 1.0, x)"))
+    assert wf((BOTTOM, 2.0)) == (1.0, BOTTOM)
+    assert wf((3.0, BOTTOM)) == (1.0, BOTTOM)
+    assert wf((3.0, 2.0)) == (1.0, 5.0)
+
+
+# BLAKE2b of the outputs below, as the tuple-building strategies gave them
+STRATEGY_OUTPUTS_DIGEST = "a876a339565ec241fcfd44312a0a4469"
+
+
+def strategy_outputs_digest() -> str:
+    """One digest of every output, written with ``repr``, of the
+    strategies of the first 200 terms of ``beta_normal_corpus(0, ...)``
+    at 8 seeded inputs each; in the last 4, each R-wire is ``BOTTOM``
+    with probability 1/4."""
+    digest = hashlib.blake2b(digest_size=16)
+    rng = random.Random(0)
+    for env, _ty, term in beta_normal_corpus(0, 200, registry=CORPUS_REG):
+        wf = interp_int(env, term, CORPUS_REG)
+        for k in range(8):
+            ins = tuple(
+                UNIT if t == "I" else BOTTOM if k >= 4 and rng.random() < 0.25 else rng.uniform(-20, 20)
+                for t in wf.in_types
+            )
+            digest.update(repr(wf(ins)).encode())
+    return digest.hexdigest()
+
+
+def test_strategy_outputs_are_bit_identical():
+    # the agreement tests compare within 1e-9; this pins the floats exactly
+    assert strategy_outputs_digest() == STRATEGY_OUTPUTS_DIGEST
 
 
 def test_ternary_symbol_agrees_across_engines():
