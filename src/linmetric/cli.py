@@ -69,37 +69,46 @@ def read_term_file(path: str, registry: SymbolRegistry):
         return parse_term(fh.read(), registry)
 
 
-def cmd_typecheck(args) -> int:
+def read_inputs(args, *paths: str) -> tuple:
+    """``(registry, env, *terms)``, read in that order; no ``--env`` is the empty one."""
     registry = load_registry(args)
-    env = parse_env(args.env) if args.env else EMPTY_ENV
-    term = read_term_file(args.file, registry)
+    env = parse_env(args.env) if getattr(args, "env", None) else EMPTY_ENV
+    return (registry, env, *[read_term_file(path, registry) for path in paths])
+
+
+def suite_config(args) -> EngineConfig:
+    """The engines' configuration for ``check --suite ordering`` and ``admissibility``."""
+    registry = gen.corpus_registry()
+    return EngineConfig(
+        registry=registry,
+        battery=ProbeBattery(registry, seed=args.seed),
+        budget=ObsBudget(values_per_type=3, max_contexts=60),
+    )
+
+
+def cmd_typecheck(args) -> int:
+    registry, env, term = read_inputs(args, args.file)
     ty = typecheck(env, term, registry)
     print(print_type(ty))
     return 0
 
 
 def cmd_eval(args) -> int:
-    registry = load_registry(args)
-    term = read_term_file(args.file, registry)
-    typecheck(EMPTY_ENV, term, registry)
+    registry, env, term = read_inputs(args, args.file)
+    typecheck(env, term, registry)
     print(print_term(evaluate(term, registry)))
     return 0
 
 
 def cmd_normalize(args) -> int:
-    registry = load_registry(args)
-    env = parse_env(args.env) if args.env else EMPTY_ENV
-    term = read_term_file(args.file, registry)
+    registry, env, term = read_inputs(args, args.file)
     typecheck(env, term, registry)
     print(print_term(beta_normalize(term)))
     return 0
 
 
 def cmd_dist(args) -> int:
-    registry = load_registry(args)
-    env = parse_env(args.env) if args.env else EMPTY_ENV
-    m = read_term_file(args.file_m, registry)
-    n = read_term_file(args.file_n, registry)
+    registry, env, m, n = read_inputs(args, args.file_m, args.file_n)
     ty = typecheck(env, m, registry)
     ty_n = typecheck(env, n, registry)
     if ty != ty_n:
@@ -133,9 +142,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_wires(args) -> int:
-    registry = load_registry(args)
-    env = parse_env(args.env) if args.env else EMPTY_ENV
-    term = read_term_file(args.file, registry)
+    registry, env, term = read_inputs(args, args.file)
     ty = typecheck(env, term, registry)
     if not is_beta_normal(term):
         term = beta_normalize(term)
@@ -151,13 +158,8 @@ def cmd_wires(args) -> int:
 
 
 def _check_ordering(args) -> tuple[int, str]:
-    registry = gen.corpus_registry()
-    cfg = EngineConfig(
-        registry=registry,
-        battery=ProbeBattery(registry, seed=args.seed),
-        budget=ObsBudget(values_per_type=3, max_contexts=60),
-    )
-    pairs = gen.typed_pair_corpus(args.seed, args.count, registry)
+    cfg = suite_config(args)
+    pairs = gen.typed_pair_corpus(args.seed, args.count, cfg.registry)
     ok = 0
     for env, ty, m, n in pairs:
         report = ordering_report(env, ty, m, n, cfg)
@@ -212,13 +214,8 @@ def _check_decompose(args) -> tuple[int, str]:
 
 
 def _check_admissibility(args) -> tuple[int, str]:
-    registry = gen.corpus_registry()
-    cfg = EngineConfig(
-        registry=registry,
-        battery=ProbeBattery(registry, seed=args.seed),
-        budget=ObsBudget(values_per_type=3, max_contexts=60),
-    )
-    corpus = gen.admissibility_corpus(args.seed, args.count, registry)
+    cfg = suite_config(args)
+    corpus = gen.admissibility_corpus(args.seed, args.count, cfg.registry)
     lines = []
     bad = 0
     for engine in ("den", "int", "equ"):

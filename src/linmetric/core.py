@@ -570,11 +570,7 @@ class SymbolRegistry:
 
 def default_registry() -> SymbolRegistry:
     return SymbolRegistry(
-        [
-            Symbol("add", 2, lambda a, b: a + b),
-            Symbol("sin", 1, math.sin),
-            Symbol("cos", 1, math.cos),
-        ],
+        [Symbol(kind, *_make_evaluator(kind, None)) for kind in ("add", "sin", "cos")],
         gaps={("sin", "cos"): math.sqrt(2.0)},
     )
 
@@ -681,6 +677,8 @@ def neg_atoms(t: Ty) -> tuple[str, ...]:
 
 _SYMBOL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789'"
 _IDENT_START = _SYMBOL_CHARS[:53]  # letters and '_'
+_DIGITS = frozenset("0123456789")  # ASCII only: float() also reads other scripts' digits
+_NUMBER_CHARS = _DIGITS | {"."}
 
 
 class _Lexer:
@@ -712,15 +710,15 @@ class _Lexer:
             elif c == ":":
                 self.tokens.append((":", ":", start))
                 i += 1
-            elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+            elif c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
                 j = i + 1
-                while j < n and (text[j].isdigit() or text[j] == "."):
+                while j < n and text[j] in _NUMBER_CHARS:
                     j += 1
                 if j < n and text[j] in "eE":
                     j += 1
                     if j < n and text[j] in "+-":
                         j += 1
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
                 try:
                     value = float(text[i:j])

@@ -36,6 +36,7 @@ from .core import (
     TUnit,
     Ty,
     Var,
+    _make_evaluator,
     const_paths,
     free_vars,
     paths,
@@ -51,13 +52,7 @@ from .semint import WireFunction
 def corpus_registry() -> SymbolRegistry:
     """Registry used by generated corpora; guarantees a binary folder."""
     return SymbolRegistry(
-        [
-            Symbol("add", 2, lambda a, b: a + b),
-            Symbol("sin", 1, math.sin),
-            Symbol("cos", 1, math.cos),
-            Symbol("min", 2, min),
-            Symbol("max", 2, max),
-        ],
+        [Symbol(kind, *_make_evaluator(kind, None)) for kind in ("add", "sin", "cos", "min", "max")],
         gaps={("sin", "cos"): math.sqrt(2.0), ("min", "max"): math.inf},
     )
 

@@ -11,9 +11,10 @@ A rule with premises composes them in one of two shapes.  Side by side
 (symbol application, pairs, ``let *``) runs the premises apart and
 combines their results.  A cut (application, ``let (x)``) joins the
 premise that produces a type to the one that consumes it, and feeds the
-wires between them back through a least-fixpoint trace over the flat
-wire domains, so every feedback loop converges in at most ``width + 1``
-rounds.
+wires between them back through ``_traced``, the least-fixpoint loop of
+``trace``, over the flat wire domains, so every feedback loop converges
+in at most ``width + 1`` rounds.  A variable's strategy is ``symmetry``,
+the identity of the Int construction.
 
 A strategy is built once per typing derivation: ``_routes`` works out
 which input wires each premise reads and where the premises'
@@ -118,10 +119,6 @@ def wire_signature(env: Env, ty: Ty) -> WireSignature:
     )
 
 
-def bottom_of(atom: str):
-    return UNIT if atom == "I" else BOTTOM
-
-
 # ---------------------------------------------------------------------------
 # Wire functions and trace
 
@@ -142,27 +139,38 @@ class WireFunction:
         return out
 
 
-def _wire_leq(a, b) -> bool:
-    return a is BOTTOM or a == b
+def _gather(ix: list[int]) -> Callable[[tuple], tuple]:
+    """``lambda x: tuple([x[i] for i in ix])`` as one C call: a slice if
+    ``ix`` is a run, as every list of at most one index is."""
+    start = ix[0] if ix else 0
+    if ix == list(range(start, start + len(ix))):
+        return itemgetter(slice(start, start + len(ix)))
+    return itemgetter(*ix)
 
 
-def _iterate_feedback(
-    fn: Callable[[tuple], tuple], z_types: tuple[str, ...]
-) -> tuple:
-    """Least fixpoint of ``fn`` on the flat feedback tuple.
+def _traced(
+    step: Callable[[tuple], tuple], feedback: Callable[[tuple], tuple], z_types: tuple[str, ...]
+) -> Callable[[tuple], tuple]:
+    """``run(inputs)``: ``step``'s output on ``inputs`` followed by the
+    wires ``feedback`` picks from that output, at their least fixpoint from
+    bottom.  Raises ModelError if an update is not an increase in the flat order."""
+    bottom = tuple([UNIT if t == "I" else BOTTOM for t in z_types])
+    rounds = range(len(z_types) + 2)
 
-    Raises ModelError if an update is not an increase in the flat order.
-    """
-    z = tuple(bottom_of(t) for t in z_types)
-    for _ in range(len(z_types) + 2):
-        z_new = fn(z)
-        if z_new == z:
-            return z
-        for old, new in zip(z, z_new):
-            if not _wire_leq(old, new):
-                raise ModelError("non-monotone feedback step detected")
-        z = z_new
-    raise ModelError("feedback did not converge within width + 1 rounds")
+    def run(inputs: tuple) -> tuple:
+        z = bottom
+        for _ in rounds:
+            flat = step(inputs + z)
+            z_new = feedback(flat)
+            if z_new == z:
+                return flat
+            for old, new in zip(z, z_new):
+                if old is not BOTTOM and old != new:
+                    raise ModelError("non-monotone feedback step detected")
+            z = z_new
+        raise ModelError("feedback did not converge within width + 1 rounds")
+
+    return run
 
 
 def trace(f: WireFunction, z_width: int) -> WireFunction:
@@ -177,24 +185,16 @@ def trace(f: WireFunction, z_width: int) -> WireFunction:
     z_out = f.out_types[len(out_keep):]
     if z_in != z_out:
         raise TypeError_(f"feedback wires disagree: {z_in} vs {z_out}")
-
-    def step(inputs: tuple) -> tuple:
-        def advance(z: tuple) -> tuple:
-            return f(inputs + z)[len(out_keep):]
-
-        z = _iterate_feedback(advance, z_in)
-        return f(inputs + z)[: len(out_keep)]
-
-    return WireFunction(in_keep, out_keep, step)
+    keep = len(out_keep)
+    run = _traced(f, itemgetter(slice(keep, None)), z_in)
+    return WireFunction(in_keep, out_keep, lambda inputs: run(inputs)[:keep])
 
 
 def symmetry(types: tuple[str, ...], k: int) -> WireFunction:
-    """Swap the first k wires with the rest."""
-
-    def step(inputs: tuple) -> tuple:
-        return inputs[k:] + inputs[:k]
-
-    return WireFunction(types, types[k:] + types[:k], step)
+    """Swap the first k wires with the rest: the identity of the Int
+    construction, and so the strategy of a variable."""
+    ix = list(range(len(types)))
+    return WireFunction(types, types[k:] + types[:k], _gather(ix[k:] + ix[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +232,6 @@ def _routes(d: Derivation) -> tuple[list[list[int]], list[int], list[int]]:
     return pos, [len(block) for block in neg], gather
 
 
-def _gather(ix: list[int]) -> Callable[[tuple], tuple]:
-    """``lambda x: tuple([x[i] for i in ix])`` as one C call: a slice if
-    ``ix`` is a run, as every list of at most one index is."""
-    start = ix[0] if ix else 0
-    if ix == list(range(start, start + len(ix))):
-        return itemgetter(slice(start, start + len(ix)))
-    return itemgetter(*ix)
-
-
 def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple], int, int]:
     """The bare step of ``d``'s strategy, and its input and output widths.
 
@@ -248,16 +239,16 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
     checked here, once, and a mismatch is a ``ModelError``; the gathers
     that pick each premise's inputs and the node's outputs are made here."""
     t, ty = d.term, d.ty
-    m, n = map(len, _wire_types(d.env, ty))
+    ins, outs = _wire_types(d.env, ty)
+    m, n = len(ins), len(outs)
 
     def check(what: str, got: int, want: int) -> None:
         if got != want:
             raise ModelError(f"{type(t).__name__} node: {what} has {got} wires, expected {want}")
 
     if isinstance(t, Var):
-        p = len(pos_atoms(ty))
         check("result", m, n)
-        return _gather([*range(p, m), *range(p)]), m, n
+        return symmetry(ins, len(pos_atoms(ty))).step, m, n
 
     if isinstance(t, (Const, Star)):
         check("result", 1, n)
@@ -335,20 +326,8 @@ def _interp(d: Derivation, reg: SymbolRegistry) -> tuple[Callable[[tuple], tuple
         keep = env_out + results[1]
     else:
         # p's results are sigma's positive atoms, c's start with its negative ones
-        feedback = _gather(results[p] + results[c][:sn])
         keep = env_out + results[c][sn:]
-
-        def outputs(inputs: tuple) -> tuple:
-            # the premises' outputs at the least fixpoint of the feedback wires
-            flat: tuple = ()
-
-            def advance(z: tuple) -> tuple:
-                nonlocal flat
-                flat = premises(inputs + z)
-                return feedback(flat)
-
-            _iterate_feedback(advance, z_types)
-            return flat
+        outputs = _traced(premises, _gather(results[p] + results[c][:sn]), z_types)
     check("result", len(keep), n)
     kept = _gather(keep)
     return (lambda inputs: kept(outputs(inputs))), m, n
@@ -361,8 +340,7 @@ IntTerm = Term  # restricted to Var/Const/Star/FnApp over wire variables
 
 
 class _Decomposer:
-    def __init__(self, registry: SymbolRegistry):
-        self.registry = registry
+    def __init__(self):
         self.equations: dict[str, IntTerm] = {}
         self.counter = itertools.count()
 
@@ -445,12 +423,12 @@ def decompose(
     registry = registry if registry is not None else default_registry()
     if not is_beta_normal(term):
         raise ModelError("decompose requires a beta-normal term")
-    return _decompose(derive(env, term, registry), registry)
+    return _decompose(derive(env, term, registry))
 
 
-def _decompose(d: Derivation, registry: SymbolRegistry) -> tuple[list[IntTerm], list[frozenset[int]]]:
+def _decompose(d: Derivation) -> tuple[list[IntTerm], list[frozenset[int]]]:
     """``decompose`` on the derivation of a beta-normal term."""
-    dec = _Decomposer(registry)
+    dec = _Decomposer()
     inputs: list[IntTerm] = [Var(f"x{i + 1}") for i in range(len(_wire_types(d.env, d.ty)[0]))]
     resolved = [dec.resolve(h) for h in dec.go(d, inputs)]
     partition = []
@@ -650,8 +628,8 @@ def int_distance(
         dm, normalized = derive(env, beta_normalize(m), registry), True
     if not is_beta_normal(n):
         dn, normalized = derive(env, beta_normalize(n), registry), True
-    hm, _ = _decompose(dm, registry)
-    hn, _ = _decompose(dn, registry)
+    hm, _ = _decompose(dm)
+    hn, _ = _decompose(dn)
     total = DistInterval(0.0, 0.0)
     for h1, h2, wt in zip(hm, hn, _wire_types(env, ty)[1]):
         total = total + first_order_distance(h1, h2, battery, registry, wire_type=wt)
@@ -675,7 +653,7 @@ def export_diagram(env: Env, term: Term, registry: Optional[SymbolRegistry] = No
         term, normalized = beta_normalize(term), True
     d = derive(env, term, registry)
     sig = wire_signature(env, d.ty)
-    hs, _ = _decompose(d, registry)
+    hs, _ = _decompose(d)
     labels = {f"x{i + 1}": sig.in_labels[i] for i in range(sig.m)}
 
     lines = ["digraph wires {", "  rankdir=LR;", '  node [fontname="Courier"];']

@@ -270,7 +270,7 @@ def test_criterion_8_trace_laws():
     sym = symmetry(("R", "R"), 1)
     counted = WireFunction(sym.in_types, sym.out_types, lambda i: calls.append(i) or sym.step(i))
     trace(counted, 1)((1.0,))
-    assert 0 < len(calls) <= 3  # feedback width 1 => at most 2 rounds plus the final read
+    assert len(calls) == 2  # feedback width 1 => 2 rounds; the last one's output is the result
     report("criterion 8: yanking + naturality on 100 wire functions", time.monotonic() - start, 10.0)
 
 

@@ -313,6 +313,15 @@ def test_eval_rejects_a_result_that_is_not_finite(workdir, capsys, text):
     assert out == ""
 
 
+def test_eval_rejects_a_digit_outside_ascii(workdir, capsys):
+    (workdir / "digit.lin").write_text("\u0663", encoding="utf-8")
+    code = main(["eval", str(workdir / "digit.lin")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: unexpected character '\u0663' (at offset 0)\n"
+    assert out == ""
+
+
 def test_dist_rejects_a_result_that_is_not_finite(workdir, capsys):
     (workdir / "big.lin").write_text("add(1e308, 1e308)")
     (workdir / "one.lin").write_text("add(1e308, 1.0)")

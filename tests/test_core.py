@@ -516,6 +516,24 @@ def test_lexer_rejects_a_letter_outside_ascii():
             parse_term(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u0663", "unexpected character '\u0663' (at offset 0)"),
+        ("1\u0663", "unexpected character '\u0663' (at offset 1)"),
+        ("\u0661.\u0665", "unexpected character '\u0661' (at offset 0)"),
+        ("-\u0663", "unexpected character '-' (at offset 0)"),
+        ("1e\u0663", "bad numeric literal '1e' (at offset 0)"),
+        ("add(\u0663\u0663, 1.0)", "unexpected character '\u0663' (at offset 4)"),
+    ],
+)
+def test_lexer_reads_only_ascii_digits(text, message):
+    # float() accepts digits of every script, so the lexer must not pass them on
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value) == message
+
+
 def test_registry_rejects_unknown_kind():
     with pytest.raises(Exception):
         SymbolRegistry.from_config({"symbols": [{"name": "evil", "arity": 1, "builtin": "exec"}]})

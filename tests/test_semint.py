@@ -116,12 +116,29 @@ def test_trace_zero_width_is_identity():
     assert trace(wf, 0) is wf
 
 
+@pytest.mark.parametrize(
+    "wf, width, message",
+    [
+        (symmetry(("R", "R"), 1), 3, "feedback width exceeds the wire signature"),
+        (
+            WireFunction(("R", "I"), ("R", "R"), lambda i: (i[0], i[0])),
+            1,
+            "feedback wires disagree: ('I',) vs ('R',)",
+        ),
+    ],
+)
+def test_trace_rejects_bad_feedback(wf, width, message):
+    with pytest.raises(TypeError_) as err:
+        trace(wf, width)
+    assert str(err.value) == message
+
+
 def test_trace_converges_within_bound():
     calls = []
     sym = symmetry(("R", "R"), 1)
     counted = WireFunction(sym.in_types, sym.out_types, lambda i: calls.append(i) or sym.step(i))
     trace(counted, 1)((1.0,))
-    assert 1 <= len(calls) <= 3  # feedback width 1: two rounds, then the final read
+    assert len(calls) == 2  # feedback width 1: two rounds, the second at the fixpoint
 
 
 def _random_wire_function(rng: random.Random, n_in: int, n_out: int) -> WireFunction:
