@@ -1,7 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 user error (parse/type/configuration), 2
-internal invariant violation (ordering-chain break, non-monotone trace).
+Exit codes: 0 success, 1 user error (command line/parse/type/
+configuration), 2 internal invariant violation (ordering-chain break,
+non-monotone trace).
 """
 
 from __future__ import annotations
@@ -57,23 +58,32 @@ USER_ERROR = 1
 INTERNAL_ERROR = 2
 
 
-def load_registry(args) -> SymbolRegistry:
-    path = getattr(args, "symbols", None) or os.environ.get("LINMETRIC_SYMBOLS")
-    if path:
-        return SymbolRegistry.from_file(path)
-    return default_registry()
+def count(text: str) -> int:
+    """A non-negative integer (``--budget``, ``--count``)."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
 
 
-def read_term_file(path: str, registry: SymbolRegistry):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_term(fh.read(), registry)
+class Parser(argparse.ArgumentParser):
+    """A malformed command line is a user error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def read_inputs(args, *paths: str) -> tuple:
     """``(registry, env, *terms)``, read in that order; no ``--env`` is the empty one."""
-    registry = load_registry(args)
+    symbols = getattr(args, "symbols", None) or os.environ.get("LINMETRIC_SYMBOLS")
+    registry = SymbolRegistry.from_file(symbols) if symbols else default_registry()
     env = parse_env(args.env) if getattr(args, "env", None) else EMPTY_ENV
-    return (registry, env, *[read_term_file(path, registry) for path in paths])
+    terms = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            terms.append(parse_term(fh.read(), registry))
+    return (registry, env, *terms)
 
 
 def suite_config(args) -> EngineConfig:
@@ -86,24 +96,11 @@ def suite_config(args) -> EngineConfig:
     )
 
 
-def cmd_typecheck(args) -> int:
+def cmd_term(args) -> int:
+    """``typecheck``, ``eval`` and ``normalize``: what ``args.show`` prints of a well-typed term."""
     registry, env, term = read_inputs(args, args.file)
     ty = typecheck(env, term, registry)
-    print(print_type(ty))
-    return 0
-
-
-def cmd_eval(args) -> int:
-    registry, env, term = read_inputs(args, args.file)
-    typecheck(env, term, registry)
-    print(print_term(evaluate(term, registry)))
-    return 0
-
-
-def cmd_normalize(args) -> int:
-    registry, env, term = read_inputs(args, args.file)
-    typecheck(env, term, registry)
-    print(print_term(beta_normalize(term)))
+    print(args.show(ty, term, registry))
     return 0
 
 
@@ -239,7 +236,7 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="linmetric", description=__doc__)
+    p = Parser(prog="linmetric", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -249,17 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("typecheck", help="print the type of a term file")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(fn=cmd_typecheck)
+    sp.set_defaults(fn=cmd_term, show=lambda ty, t, reg: print_type(ty))
 
     sp = sub.add_parser("eval", help="evaluate a closed term file")
     sp.add_argument("file")
     sp.add_argument("--symbols")
-    sp.set_defaults(fn=cmd_eval)
+    sp.set_defaults(fn=cmd_term, show=lambda ty, t, reg: print_term(evaluate(t, reg)))
 
     sp = sub.add_parser("normalize", help="print the beta-normal form")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(fn=cmd_normalize)
+    sp.set_defaults(fn=cmd_term, show=lambda ty, t, reg: print_term(beta_normalize(t)))
 
     sp = sub.add_parser("dist", help="distance report for two term files")
     sp.add_argument("file_m")
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--metric", choices=["obs", "den", "int", "equ", "all"], default="all")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=300, help="max observing contexts")
+    sp.add_argument("--budget", type=count, default=300, help="max observing contexts")
     sp.add_argument("--json", action="store_true", help="compact single-line JSON")
     sp.set_defaults(fn=cmd_dist)
 
@@ -284,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=count, default=100)
     sp.set_defaults(fn=cmd_check)
 
     return p

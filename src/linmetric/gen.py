@@ -45,7 +45,7 @@ from .core import (
     term_size,
 )
 from .dynamics import _is_let, _let_parts, _make_let, beta_normalize, eq_decide, substitute
-from .semden import BOTTOM
+from .semden import compile_term
 from .semint import WireFunction
 
 
@@ -505,43 +505,28 @@ def admissibility_corpus(seed: int, count: int, registry: Optional[SymbolRegistr
 def random_wire_function(
     rng: random.Random, n_in: int, n_out: int, registry: Optional[SymbolRegistry] = None
 ) -> WireFunction:
+    """Each output is a random wire term over the inputs ``x0 ..``,
+    compiled by ``compile_term``."""
     registry = registry if registry is not None else corpus_registry()
     unary = registry.names_of_arity(1)
     binary = registry.names_of_arity(2)
-    plans = []
+
+    def wire() -> Term:
+        return Var(f"x{rng.randrange(n_in)}")
+
+    outputs: list[Term] = []
     for _ in range(n_out):
         roll = rng.random()
         if roll < 0.3:
-            plans.append(("pass", rng.randrange(n_in)))
+            outputs.append(wire())
         elif roll < 0.5:
-            plans.append(("const", round(rng.uniform(-5, 5), 2)))
+            outputs.append(Const(round(rng.uniform(-5, 5), 2)))
         elif roll < 0.8 and unary:
-            plans.append(("un", registry.get(rng.choice(unary)).evaluator, rng.randrange(n_in)))
+            outputs.append(FnApp(rng.choice(unary), (wire(),)))
         elif binary:
-            plans.append(
-                (
-                    "bin",
-                    registry.get(rng.choice(binary)).evaluator,
-                    rng.randrange(n_in),
-                    rng.randrange(n_in),
-                )
-            )
+            outputs.append(FnApp(rng.choice(binary), (wire(), wire())))
         else:
-            plans.append(("const", 0.0))
-
-    def step(inputs):
-        out = []
-        for plan in plans:
-            if plan[0] == "pass":
-                out.append(inputs[plan[1]])
-            elif plan[0] == "const":
-                out.append(plan[1])
-            elif plan[0] == "un":
-                v = inputs[plan[2]]
-                out.append(BOTTOM if v is BOTTOM else plan[1](v))
-            else:
-                a, b = inputs[plan[2]], inputs[plan[3]]
-                out.append(BOTTOM if a is BOTTOM or b is BOTTOM else plan[1](a, b))
-        return tuple(out)
-
-    return WireFunction(("R",) * n_in, ("R",) * n_out, step)
+            outputs.append(Const(0.0))
+    slots = {f"x{i}": i for i in range(n_in)}
+    code = [compile_term(h, slots, n_in, registry) for h in outputs]
+    return WireFunction(("R",) * n_in, ("R",) * n_out, lambda i: tuple([c(i) for c in code]))

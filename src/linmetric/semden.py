@@ -17,8 +17,10 @@ sentinels by identity).  Each term is compiled once, by
 ``compile_term``, into Python closures over a slot-indexed environment
 tuple (variables resolved to tuple indices, symbols to their
 evaluators); the probes then run the compiled code, not the syntax
-tree.  ``semint.int_term_denotation`` evaluates a wire term with the
-same function.
+tree.  A map on real wires is a wire term (variables, constants and
+symbols over the wires) and is compiled the same way: so are
+``semint.int_term_denotation``'s terms, the battery's probes of a real
+argument and ``gen.random_wire_function``'s outputs.
 
 A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
 body that mention neither its variable nor a name bound inside the body
@@ -347,30 +349,14 @@ class ProbeBattery:
         reg = self.registry
         unary = reg.names_of_arity(1)
         binary = reg.names_of_arity(2)
-
-        def lift_real(g: Callable[[float], float]) -> Callable[[Value], Value]:
-            def f(v: Value) -> Value:
-                if v is BOTTOM:
-                    return BOTTOM
-                return g(v)
-
-            return f
-
         if isinstance(src, TReal):
-            out = [lift_real(lambda a: a)]
-            for n in unary:
-                out.append(lift_real(reg.get(n).evaluator))
-            for n in binary:
-                for c in (0.0, 1.0, -1.0):
-                    out.append(lift_real(lambda a, _f=reg.get(n).evaluator, _c=c: _f(a, _c)))
+            p = Var("p")
+            terms: list[Term] = [p, *[FnApp(n, (p,)) for n in unary]]
+            terms += [FnApp(n, (p, Const(c))) for n in binary for c in (0.0, 1.0, -1.0)]
             if depth > 1:
-                base = out[: 1 + len(unary)]
-                for g in list(base):
-                    for n in unary:
-                        out.append(
-                            lift_real(lambda a, _g=g, _f=reg.get(n).evaluator: _f(_g(a)))
-                        )
-            return out
+                terms += [FnApp(n, (h,)) for h in terms[: 1 + len(unary)] for n in unary]
+            code = [compile_term(h, {"p": 0}, 1, reg) for h in terms]
+            return [lambda v, _c=c: _c((v,)) for c in code]
         if isinstance(src, TUnit):
             return [lambda v, _c=c: _c for c in (0.0, 1.0)]
         if isinstance(src, TTensor):

@@ -134,6 +134,8 @@ class WireFunction:
         if len(inputs) != len(self.in_types):
             raise TypeError_(f"expected {len(self.in_types)} wire inputs, got {len(inputs)}")
         out = self.step(tuple(inputs))
+        if type(out) is not tuple:
+            raise ModelError(f"wire function produced a {type(out).__name__}, not a tuple")
         if len(out) != len(self.out_types):
             raise ModelError("wire function produced a tuple of the wrong width")
         return out

@@ -150,6 +150,40 @@ def test_user_errors_exit_1_with_one_error_line(workdir, capsys, text, argv):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_dist_on_terms_of_different_types(workdir, capsys):
+    (workdir / "one.lin").write_text("1.0")
+    (workdir / "unit.lin").write_text("*")
+    assert main(["dist", str(workdir / "one.lin"), str(workdir / "unit.lin")]) == 1
+    assert capsys.readouterr().err == "error: terms have different types: R vs I\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "k2.lin", "k3.lin", "--env", "k:R -o I", "--budget", "-1"],
+        ["dist", "k2.lin", "k3.lin", "--env", "k:R -o I", "--seed", "abc"],
+        ["check", "--suite", "trace", "--count", "-5"],
+        ["check", "--suite", "ordering", "--count", "-1"],
+        ["check", "--suite", "decompose", "--count", "2.5"],
+        ["check", "--suite", "nope"],
+        [],
+    ],
+)
+def test_a_malformed_command_line_is_a_user_error(workdir, capsys, argv):
+    argv = [str(workdir / a) if a.endswith(".lin") else a for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "Traceback" not in err
+
+
+def test_a_zero_budget_is_accepted(workdir, capsys):
+    argv = ["dist", str(workdir / "k2.lin"), str(workdir / "k3.lin"), "--env", "k:R -o I"]
+    assert main([*argv, "--metric", "obs", "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["obs"]["lo"] == 0.0
+
+
 def test_dist_deterministic(workdir, capsys):
     args = [
         "dist",
@@ -233,6 +267,21 @@ def test_check_decompose(capsys):
 def test_check_ordering(capsys):
     assert main(["check", "--suite", "ordering", "--count", "25", "--seed", "5"]) == 0
     assert "25/25 chain_ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, count",
+    [
+        ("trace", "trace", lambda wf, width: lambda inputs: (0.5,), "failures"),
+        ("decompose", "int_term_denotation", lambda h, assignment, reg: 0.5, "mismatches"),
+    ],
+)
+def test_check_reports_failures_with_exit_2(capsys, monkeypatch, suite, name, wrong, count):
+    import linmetric.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, name, wrong)
+    assert main(["check", "--suite", suite, "--count", "3"]) == 2
+    assert int(re.search(rf"{count}=(\d+)", capsys.readouterr().out).group(1)) > 0
 
 
 def test_check_admissibility(capsys):

@@ -255,6 +255,11 @@ def test_check_qderivation_rejects_bad_eq0():
         check_qderivation(Eq0(EMPTY_ENV, R, Const(0.0), Const(1.0)))
 
 
+def test_eq0_with_the_wrong_stated_type_is_rejected():
+    with pytest.raises(CertificateError, match=r"^root: Eq0 sides do not have the stated type$"):
+        check_qderivation(Eq0(EMPTY_ENV, I, Const(1.0), Const(1.0)))
+
+
 def test_check_qderivation_rejects_nonlinear_context():
     from linmetric.core import FnApp
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from linmetric.core import (
     TTensor,
     TypeError_,
     Var,
+    default_registry,
     env_of,
     parse_term,
     parse_type,
@@ -331,6 +333,17 @@ def test_application_and_let_pair_pass_bottom_through():
     assert interp_den(env_of(("p", TTensor(R, R))), m)((BOTTOM,)) is BOTTOM
 
 
+def test_a_point_of_the_wrong_arity_is_a_type_error():
+    f = interp_den(env_of(("x", R)), Var("x"))
+    with pytest.raises(TypeError_, match=r"^environment point has arity 2, expected 1$"):
+        f((1.0, 2.0))
+
+
+def test_den_distance_rejects_terms_not_of_the_stated_type():
+    with pytest.raises(TypeError_, match=r"^den_distance: terms do not have the stated type$"):
+        den_distance(EMPTY_ENV, TLolli(R, R), Const(1.0), Const(2.0))
+
+
 class TaggedVar(Var):
     """Not a term: ``compile_term`` dispatches on the exact class."""
 
@@ -345,3 +358,46 @@ class TaggedFnApp(FnApp):
 def test_compile_term_rejects_a_subclass_of_a_term_class(bad):
     with pytest.raises(AssertionError):
         compile_term(bad, {"x": 0}, 1, corpus_registry())
+
+
+# BLAKE2b of the outputs below, as the lift_real probes gave them
+BATTERY_OUTPUTS_DIGEST = "be00b45ff47935a956bf8b1ddef62e71"
+
+READBACK_POINTS = (-7.5, -1.0, 0.0, 0.25, 3.0, BOTTOM)
+
+
+def readback(v):
+    """``v`` as data: a function becomes its results at ``READBACK_POINTS``."""
+    if callable(v):
+        return tuple([readback(v(x)) for x in READBACK_POINTS])
+    if type(v) is tuple:
+        return tuple([readback(x) for x in v])
+    return v
+
+
+def battery_outputs_digest() -> str:
+    """One digest of every function sample of six types, for the default
+    and the corpus registry at seeds 0 and 977, applied to the argument
+    type's first 8 samples and to ``BOTTOM`` and written with ``repr``
+    after ``readback``."""
+    digest = hashlib.blake2b(digest_size=16)
+    for reg in (default_registry(), corpus_registry()):
+        for seed in (0, 977):
+            battery = ProbeBattery(reg, seed=seed)
+            for text in (
+                "R -o R",
+                "R (x) R -o R",
+                "(R -o R) -o R",
+                "R -o R (x) R",
+                "R -o R -o R",
+                "I (x) R -o R",
+            ):
+                ty = parse_type(text)
+                args = [*battery.samples(ty.arg)[:8], BOTTOM]
+                for f in battery.samples(ty):
+                    digest.update(repr([readback(f(a)) for a in args]).encode())
+    return digest.hexdigest()
+
+
+def test_battery_outputs_are_bit_identical():
+    assert battery_outputs_digest() == BATTERY_OUTPUTS_DIGEST

@@ -202,6 +202,14 @@ def test_trace_detects_non_monotone_step():
         trace(wf, 1)((0.0,))
 
 
+def test_a_step_that_returns_a_list_is_a_model_error():
+    wf = WireFunction(("R", "R"), ("R", "R"), lambda i: [i[1], i[0]])
+    with pytest.raises(ModelError, match=r"^wire function produced a list, not a tuple$"):
+        wf((1.0, 2.0))
+    with pytest.raises(ModelError, match=r"^wire function produced a list, not a tuple$"):
+        trace(wf, 1)((1.0,))
+
+
 # -- interpretation ---------------------------------------------------------------
 
 
@@ -452,6 +460,11 @@ def test_decompose_extensionality_on_examples():
 
 
 # -- distances ---------------------------------------------------------------------
+
+
+def test_int_distance_rejects_terms_not_of_the_stated_type():
+    with pytest.raises(TypeError_, match=r"^type mismatch in int_distance$"):
+        int_distance(EMPTY_ENV, I, Const(1.0), Const(2.0), BATTERY, registry=REG)
 
 
 def test_int_distance_unit_queries():
@@ -797,6 +810,17 @@ def test_export_diagram_constant():
     assert "digraph wires" in dot
     assert 'label="3"' in dot
     assert "rank=sink" in dot
+
+
+def test_export_diagram_notes_that_it_normalized_its_input():
+    dot = export_diagram(EMPTY_ENV, parse_term(r"(\x:R. x) 3.0"))
+    assert "  // input was normalized before rendering" in dot.splitlines()
+    assert 'label="3"' in dot
+    assert "normalized" not in export_diagram(EMPTY_ENV, Const(3.0))
+
+
+def test_format_int_term_of_the_unit():
+    assert format_int_term(Star()) == "*"
 
 
 def test_export_diagram_unit_query():
