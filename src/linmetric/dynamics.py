@@ -14,9 +14,12 @@ term (the language is linear), so both terminate.
 equational class using beta, the let laws, eta-contraction of all three
 connectives, evaluation of symbols on literal arguments, and the two
 let-commuting conversions (used to hoist and deterministically order
-let bindings).  Each pass rebuilds a node only when a child changed, so
-a pass that fires nowhere returns its input and unchanged subtrees are
-shared; the size bounds of both loops are computed only when reached.
+let bindings).  Each pass is a root rule applied over the children and
+rebuilds a node only when a child changed, so a pass that fires nowhere
+returns its input and unchanged subtrees are shared.  Before each round
+a read-only walk tries every root rule at every node; if none fires,
+the round is not run.  ``beta_normalize`` and the round loop compute
+their size bounds only after 8 steps.
 ``eq_decide`` compares canonical forms up to alpha-renaming; it is sound
 but deliberately incomplete.
 """
@@ -242,10 +245,10 @@ def beta_normalize(term: Term) -> Term:
         nxt = _step_normal_order(term)
         if nxt is None:
             return term
-        if not steps:
-            limit = term_size(term) + 1
         term = nxt
         steps += 1
+        if steps == 8:  # sized only from step 8: each later step shrinks it
+            limit = steps + term_size(term)
         if steps > limit:
             raise AssertionError("normalization exceeded the size bound of a linear term")
 
@@ -325,7 +328,11 @@ def _map_children(t: Term, f, *args) -> Term:
 
 
 def _eta_contract(t: Term) -> Term:
-    t = _map_children(t, _eta_contract)
+    return _eta_root(_map_children(t, _eta_contract))
+
+
+def _eta_root(t: Term) -> Term:
+    """``_eta_contract`` of a term whose children are contracted already."""
     if isinstance(t, Lam) and isinstance(t.body, App):
         arg = t.body.arg
         if isinstance(arg, Var) and arg.name == t.var and t.var not in free_vars(t.body.fn):
@@ -353,10 +360,14 @@ def fold_literals(t: Term, registry: SymbolRegistry) -> Term:
     only in evaluated sub-expressions.
     """
     t = _map_children(t, fold_literals, registry)
-    if isinstance(t, FnApp) and all(isinstance(a, Const) for a in t.args):
-        sym = registry.get(t.symbol)
-        return Const(sym(*[a.value for a in t.args]))
+    if _foldable(t):
+        return Const(registry.get(t.symbol)(*[a.value for a in t.args]))
     return t
+
+
+def _foldable(t: Term) -> bool:
+    """The root rule of ``fold_literals``: whether it rewrites ``t``."""
+    return isinstance(t, FnApp) and all(isinstance(a, Const) for a in t.args)
 
 
 def _is_let(t: Term) -> bool:
@@ -467,11 +478,31 @@ def _sort_root(t: Term) -> Term:
     return t
 
 
+def _fixed(t: Term) -> bool:
+    """True exactly when no rule of ``eq_canonical``'s round fires
+    anywhere in ``t``, so that each of its passes would return ``t``
+    itself: a pass is its root rule over ``_map_children``."""
+    cls = type(t)
+    if cls is Var or cls is Const or cls is Star or cls is Hole:
+        return True
+    return (
+        all(map(_fixed, children(t)))
+        and _contract(t) is None
+        and not _foldable(t)
+        and _hoist_root(t) is t
+        and _sort_root(t) is t
+        and _eta_root(t) is t
+    )
+
+
 def eq_canonical(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
-    """Canonical representative; every rewrite step is derivable."""
+    """Canonical representative; every rewrite step is derivable.  The
+    rounds stop once ``_fixed`` finds that the next would change nothing."""
     registry = registry if registry is not None else default_registry()
     t = beta_normalize(term)
     for rounds in itertools.count(1):
+        if _fixed(t):
+            break
         # order lets before eta-contraction can dissolve a chain, so that
         # permuted chains reach the same representative
         t2 = _hoist_lets(t)

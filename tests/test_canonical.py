@@ -12,11 +12,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linmetric import gen
-from linmetric.core import Const, Lam, Var, children, free_vars, print_term, rebuild
+from linmetric.core import Const, FnApp, Lam, R, Var, children, free_vars, print_term, rebuild
 from linmetric.dynamics import (
     _eta_contract,
+    _fixed,
     _hoist_lets,
     _is_let,
     _let_parts,
@@ -97,13 +99,66 @@ def test_hoisting_in_one_pass_matches_the_rewalk_and_is_idempotent():
             assert _hoist_lets(h) == h
 
 
+PASSES = (_hoist_lets, _sort_lets, _eta_contract, lambda t: fold_literals(t, REG), beta_normalize)
+
+
 def test_each_pass_returns_a_canonical_form_itself():
     for t in CORPUS:
         n = beta_normalize(t)
         assert beta_normalize(n) is n
         c = eq_canonical(t, REG)
-        for out in (_hoist_lets(c), _sort_lets(c), _eta_contract(c), fold_literals(c, REG), beta_normalize(c)):
-            assert out is c
+        for p in PASSES:
+            assert p(c) is c
+        assert _fixed(c)
+
+
+def round_terms(t):
+    """``t``, its beta-normal form and the output of each pass of each
+    round ``eq_canonical`` runs from there."""
+    out, u = [t], beta_normalize(t)
+    while True:
+        out.append(u)
+        v = u
+        for p in PASSES:
+            v = p(v)
+            out.append(v)
+        if v == u:
+            return out
+        u = v
+
+
+def test_fixed_holds_exactly_when_every_pass_returns_its_input():
+    seen = set()
+    for t in CORPUS:
+        for u in round_terms(t):
+            fixed = all(p(u) is u for p in PASSES)
+            assert _fixed(u) == fixed, print_term(u)
+            seen.add(fixed)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Lam("x", R, FnApp("add", (Var("x"), FnApp("mul", (Const(2.0), Const(3.0)))))),
+        Lam("x", R, FnApp("add", (Var("x"), FnApp("pi", ())))),
+    ],
+)
+def test_a_symbol_on_literal_arguments_under_a_binder_is_not_fixed(t):
+    # a nullary application has no children but is no leaf: it folds
+    assert not _fixed(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_canonical_forms_of_generated_terms_are_fixed(rng):
+    env, ty = gen.gen_env(rng), gen.gen_type(rng, 2, rng.randint(1, 4))
+    assume(gen.feasible_site(env, ty))
+    m = gen.gen_term(rng, env, ty, REG, fuel=rng.randint(1, 5))
+    for t in (m, gen.equal_variant(rng, m, ty, REG)):
+        c = eq_canonical(t, REG)
+        assert _fixed(c)
+        assert eq_canonical(c, REG) is c
 
 
 class Tagged(Var):

@@ -330,6 +330,18 @@ def test_normalize_query_closure():
     assert beta_normalize(m) == FnApp("sin", (Const(2.0),))
 
 
+def test_normalize_bounds_its_steps_on_a_non_linear_term():
+    # the size bound is taken only after 8 steps; past it, omega's
+    # self-reproducing redex still stops the loop
+    delta = Lam("x", R, App(Var("x"), Var("x")))
+    with pytest.raises(AssertionError, match="size bound"):
+        beta_normalize(App(delta, delta))
+    chain = Const(5.0)
+    for _ in range(30):
+        chain = App(Lam("x", R, Var("x")), chain)
+    assert beta_normalize(chain) == Const(5.0)
+
+
 def test_is_beta_normal():
     assert is_beta_normal(parse_term(r"\x:R. x"))
     assert not is_beta_normal(parse_term(r"(\x:R. x) 5.0"))
