@@ -38,6 +38,7 @@ from .core import (
     LinError,
     Pair,
     R,
+    RegistryError,
     STAR,
     SymbolRegistry,
     Term,
@@ -125,8 +126,11 @@ class CtxRule(QDerivation):
 
 def _check_node(d: QDerivation, registry: SymbolRegistry, path: str) -> Judgment:
     if isinstance(d, Eq0):
-        t1 = typecheck(d.env, d.lhs, registry)
-        t2 = typecheck(d.env, d.rhs, registry)
+        try:
+            t1 = typecheck(d.env, d.lhs, registry)
+            t2 = typecheck(d.env, d.rhs, registry)
+        except (TypeError_, RegistryError) as e:
+            raise CertificateError(f"{path}: Eq0 side is ill-typed: {e}") from None
         if t1 != d.ty or t2 != d.ty:
             raise CertificateError(f"{path}: Eq0 sides do not have the stated type")
         if not eq_decide(d.lhs, d.rhs, registry):

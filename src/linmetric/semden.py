@@ -17,10 +17,11 @@ sentinels by identity).  Each term is compiled once, by
 ``compile_term``, into Python closures over a slot-indexed environment
 tuple (variables resolved to tuple indices, symbols to their
 evaluators); the probes then run the compiled code, not the syntax
-tree.  A map on real wires is a wire term (variables, constants and
-symbols over the wires) and is compiled the same way: so are
-``semint.int_term_denotation``'s terms, the battery's probes of a real
-argument and ``gen.random_wire_function``'s outputs.
+tree.  A map on real wires that runs at many points is a wire term
+(variables, constants and symbols over the wires) and is compiled the
+same way: so are the battery's probes of a real argument and
+``gen.random_wire_function``'s outputs.  ``semint.int_term_denotation``
+runs a wire term at one point, so it walks the term instead.
 
 A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
 body that mention neither its variable nor a name bound inside the body
@@ -125,9 +126,10 @@ def compile_term(
     ``slots`` maps each name in scope, and the ``id`` of each subterm a
     λ hoisted, to its index in that tuple; ``depth`` is the tuple's
     length, so a binder always takes the next index, also when its name
-    shadows one already in ``slots``.  ``semint.int_term_denotation``
-    compiles with it too: a wire term is a term over the wire variables.
-    Like ``core.children`` it dispatches on the exact class.
+    shadows one already in ``slots``.  A wire term is a term over the
+    wire variables, so the battery's real probes and
+    ``gen.random_wire_function`` compile with it too.  Like
+    ``core.children`` it dispatches on the exact class.
     """
     cls = type(t)
     if cls is Var:

@@ -30,9 +30,9 @@ but its own account of the two shapes, with cut wires in place of feedback;
 ``int_distance`` sums per-wire distances between two such
 decompositions.  A wire value is a plain number (R) or ``BOTTOM``, or
 ``UNIT`` (I), as in the denotational model.  ``int_term_denotation``
-evaluates a wire term with ``semden.compile_term``; the distance search
-evaluates both terms of a wire with ``_stage``, column-wise over a batch
-of probe rows, each subterm once per value of the variables it reads.
+evaluates a wire term at one input in one walk over it; the distance
+search evaluates both terms of a wire with ``_stage``, column-wise over a
+batch of probe rows, each subterm once per value of the variables it reads.
 Where two wire terms differ only in literals and in symbols of the same
 arity (``dynamics.literal_diffs``), a wire's upper bound is the sum of
 the literal differences and the registry's symbol gaps; a sampled gap
@@ -77,7 +77,7 @@ from .core import (
     search,
 )
 from .dynamics import beta_normalize, fold_literals as fold_int_term, is_beta_normal, literal_diffs
-from .semden import BOTTOM, UNIT, ProbeBattery, compile_term
+from .semden import BOTTOM, UNIT, ProbeBattery
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,26 @@ def _decompose(d: Derivation) -> tuple[list[IntTerm], list[frozenset[int]]]:
 
 
 def int_term_denotation(h: IntTerm, assignment: dict[str, object], registry: SymbolRegistry):
-    """Value of a wire term under an assignment of input wire values."""
-    return compile_term(h, {name: name for name in assignment}, 0, registry)(assignment)
+    """Value of a wire term under an assignment of input wire values.
+
+    One walk over the term, as ``dynamics.evaluate`` walks a closed term:
+    a term run at one point is not worth compiling.  A symbol's evaluator
+    is looked up before its arguments run, and a symbol is strict (bottom
+    in, bottom out).  Like ``compile_term`` it dispatches on the exact
+    class.
+    """
+    cls = type(h)
+    if cls is Var:
+        return assignment[h.name]
+    if cls is Const:
+        return h.value
+    if cls is Star:
+        return UNIT
+    if cls is FnApp:
+        f = registry.get(h.symbol).evaluator
+        vals = [int_term_denotation(a, assignment, registry) for a in h.args]
+        return BOTTOM if BOTTOM in vals else f(*vals)
+    raise AssertionError(h)
 
 
 def format_int_term(h: IntTerm, labels: dict[str, str] | None = None) -> str:

@@ -15,7 +15,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linmetric import gen
-from linmetric.core import Const, FnApp, Lam, R, Var, children, free_vars, print_term, rebuild
+from linmetric.core import (
+    Const,
+    FnApp,
+    Lam,
+    R,
+    Var,
+    children,
+    free_vars,
+    parse_env,
+    parse_term,
+    print_term,
+    rebuild,
+    typecheck,
+)
 from linmetric.dynamics import (
     _eta_contract,
     _fixed,
@@ -29,6 +42,7 @@ from linmetric.dynamics import (
     eq_canonical,
     fold_literals,
 )
+from linmetric.metrics import check_qderivation, equ_upper_bound
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "eq_canonical.txt"
 REG = gen.corpus_registry()
@@ -159,6 +173,18 @@ def test_canonical_forms_of_generated_terms_are_fixed(rng):
         c = eq_canonical(t, REG)
         assert _fixed(c)
         assert eq_canonical(c, REG) is c
+
+
+def test_sorting_lets_keeps_a_scrutinee_after_the_let_that_binds_it():
+    # the inner scrutinee reads the outer binder `a`, so the two lets are
+    # not independent, although the inner one sorts first
+    env = parse_env("p:(R (x) R) (x) R")
+    body = "let a (x) b = p in let c (x) d = a in add(add(c, d), add(b, {}))"
+    m, n = parse_term(body.format("1.0")), parse_term(body.format("2.0"))
+    assert typecheck(env, eq_canonical(m, REG), REG) == R
+    bound, cert = equ_upper_bound(env, R, m, n, REG)
+    assert bound == 1.0
+    assert check_qderivation(cert, REG) == 1.0
 
 
 class Tagged(Var):

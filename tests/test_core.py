@@ -625,6 +625,11 @@ def test_registry_accepts_an_infinite_gap():
     assert reg.gap("max", "min") == math.inf
 
 
+def test_registry_accepts_a_zero_gap():
+    reg = SymbolRegistry.from_config({"gaps": [{"a": "min", "b": "max", "bound": 0.0}]})
+    assert reg.gap("max", "min") == 0.0
+
+
 def test_names_of_arity():
     reg = default_registry()
     assert reg.names_of_arity(1) == ["cos", "sin"]

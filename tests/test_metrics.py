@@ -5,6 +5,7 @@ import pytest
 from linmetric.core import (
     Const,
     EMPTY_ENV,
+    FnApp,
     HOLE,
     I,
     INF,
@@ -260,9 +261,27 @@ def test_eq0_with_the_wrong_stated_type_is_rejected():
         check_qderivation(Eq0(EMPTY_ENV, I, Const(1.0), Const(1.0)))
 
 
-def test_check_qderivation_rejects_nonlinear_context():
-    from linmetric.core import FnApp
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (Eq0(EMPTY_ENV, R, Var("x"), Var("x")), "root: Eq0 side is ill-typed: unbound variable 'x'"),
+        (
+            SymRule(Eq0(parse_env("x:R"), R, Const(1.0), Const(1.0))),
+            "root.sym: Eq0 side is ill-typed: unused variable(s): ['x'] (linearity violation)",
+        ),
+        (
+            Trans(ConstAxiom(1.0, 1.0, 0.0), Eq0(EMPTY_ENV, R, FnApp("nosuch", ()), Const(1.0))),
+            "root.right: Eq0 side is ill-typed: unregistered symbol 'nosuch'",
+        ),
+    ],
+)
+def test_eq0_with_a_side_that_does_not_typecheck_is_rejected_at_its_path(d, message):
+    with pytest.raises(CertificateError) as exc:
+        check_qderivation(d)
+    assert str(exc.value) == message
 
+
+def test_check_qderivation_rejects_nonlinear_context():
     env = parse_env("x:R")
     ctx = Lam("x", R, FnApp("add", (Var("x"), HOLE)))
     d = CtxRule(ctx, EMPTY_ENV, TLolli(R, R), CtxRule(HOLE, env_of(("x", R)), R, ConstAxiom(1.0, 1.0, 0.0)))

@@ -39,6 +39,7 @@ from linmetric.semden import (
     interp_den,
     replay_lo,
     sem_l1,
+    value_dist_lower,
     value_to_sem,
 )
 
@@ -143,6 +144,13 @@ def test_ground_l1_type_mismatch():
 def test_sem_l1_bottom_is_infinite():
     assert sem_l1(1.0, BOTTOM, R) == math.inf
     assert sem_l1(BOTTOM, BOTTOM, R) == 0.0
+
+
+def test_value_dist_lower_on_bottom_function_values():
+    fn = TLolli(R, R)
+    assert value_dist_lower(BOTTOM, BOTTOM, fn, BATTERY, 2) == (0.0, ())
+    assert value_dist_lower(BOTTOM, abs, fn, BATTERY, 2) == (math.inf, ())
+    assert value_dist_lower(abs, BOTTOM, fn, BATTERY, 2) == (math.inf, ())
 
 
 # -- battery -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from linmetric.core import (
     FnApp,
     I,
     INF,
+    Lam,
     R,
     Star,
     RegistryError,
@@ -41,7 +42,7 @@ from linmetric.gen import (
     gen_type,
     typed_pair_corpus,
 )
-from linmetric.semden import BOTTOM, UNIT, ProbeBattery, interp_den
+from linmetric.semden import BOTTOM, UNIT, ProbeBattery, compile_term, interp_den
 from linmetric.semint import (
     ModelError,
     WireFunction,
@@ -790,6 +791,56 @@ def test_ternary_symbol_agrees_across_engines():
     assert den((BOTTOM,)) is BOTTOM
     assert int_term_denotation(h, {"x1": BOTTOM}, reg) is BOTTOM
     assert wf((BOTTOM,)) == (BOTTOM,)
+
+
+def test_int_term_denotation_agrees_with_the_compiled_term():
+    # one walk at one point gives what compiling the term and running the
+    # closure gives, bottoms included
+    rng = random.Random(5)
+    for env, ty, term in beta_normal_corpus(5, 60, registry=CORPUS_REG):
+        hs, _ = decompose(env, term, CORPUS_REG)
+        in_types = wire_signature(env, ty).in_types
+        for p_bottom in (0.0, 0.3, 1.0):
+            a = {
+                f"x{i + 1}": UNIT if t == "I" else BOTTOM if rng.random() < p_bottom else rng.uniform(-20, 20)
+                for i, t in enumerate(in_types)
+            }
+            for h in hs:
+                got = int_term_denotation(h, a, CORPUS_REG)
+                want = compile_term(h, {n: n for n in a}, 0, CORPUS_REG)(a)
+                if want is BOTTOM or want is UNIT:
+                    assert got is want, h
+                else:
+                    assert got == want, h
+
+
+def test_int_term_denotation_looks_up_a_symbol_before_its_arguments():
+    with pytest.raises(RegistryError, match="'nosuch'"):
+        int_term_denotation(FnApp("nosuch", (Var("x9"),)), {}, REG)
+    with pytest.raises(KeyError):
+        int_term_denotation(FnApp("sin", (Var("x9"),)), {}, REG)
+
+
+class TaggedVar(Var):
+    """Not a wire term: ``int_term_denotation`` dispatches on the exact class."""
+
+
+class TaggedFnApp(FnApp):
+    """Not a wire term either."""
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        TaggedVar("x1"),
+        TaggedFnApp("sin", (Var("x1"),)),
+        FnApp("sin", (TaggedVar("x1"),)),
+        Lam("x1", R, Var("x1")),
+    ],
+)
+def test_int_term_denotation_rejects_what_is_not_a_wire_term(bad):
+    with pytest.raises(AssertionError):
+        int_term_denotation(bad, {"x1": 1.0}, REG)
 
 
 def test_den_values_compare_by_value():
