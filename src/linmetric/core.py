@@ -111,16 +111,6 @@ R = TReal()
 I = TUnit()
 
 
-def tensor_of(types: Iterable[Ty]) -> Ty:
-    """Left-associated n-fold tensor."""
-    acc: Optional[Ty] = None
-    for t in types:
-        acc = t if acc is None else TTensor(acc, t)
-    if acc is None:
-        return I
-    return acc
-
-
 def print_type(t: Ty, *, _ctx: int = 0) -> str:
     # _ctx: 0 top, 1 tensor operand, 2 lolli left operand
     if isinstance(t, TReal):

@@ -29,6 +29,7 @@ from .core import (
     EMPTY_ENV,
     EPS,
     Env,
+    EvalError,
     FnApp,
     HOLE,
     INF,
@@ -61,7 +62,7 @@ from .core import (
     subterm_at,
     typecheck,
 )
-from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate, literal_diffs
+from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate, is_beta_normal, literal_diffs
 from .semden import ProbeBattery, den_distance, ground_l1
 from .semint import int_distance
 
@@ -133,8 +134,11 @@ def _check_node(d: QDerivation, registry: SymbolRegistry, path: str) -> Judgment
             raise CertificateError(f"{path}: Eq0 side is ill-typed: {e}") from None
         if t1 != d.ty or t2 != d.ty:
             raise CertificateError(f"{path}: Eq0 sides do not have the stated type")
-        if not eq_decide(d.lhs, d.rhs, registry):
-            raise CertificateError(f"{path}: Eq0 on terms not provably equal")
+        try:
+            if not eq_decide(d.lhs, d.rhs, registry):
+                raise CertificateError(f"{path}: Eq0 on terms not provably equal")
+        except EvalError as e:
+            raise CertificateError(f"{path}: Eq0 side does not fold: {e}") from None
         return Judgment(d.env, d.ty, d.lhs, d.rhs, 0.0)
     if isinstance(d, ConstAxiom):
         if abs(d.a - d.b) > d.r + EPS:
@@ -690,20 +694,24 @@ def ordering_report(
     The chain asserted is: obs ≤ den.hi, den.lo ≤ int.hi, int.lo ≤ equ,
     obs ≤ equ.  A violation indicates an engine bug, not a property of
     the pair.  On a pair that ``equ`` certifies at 0, ``obs`` stops at
-    its first context and ``den`` is not searched (the sandwich closes
-    both at 0), so the chain cannot catch an unsound 0 there;
-    ``tests/test_invariants.py`` searches those pairs in full instead.
+    its first context and neither ``den`` nor ``int`` is searched (the
+    sandwich closes all three at 0), so the chain cannot catch an
+    unsound 0 there; ``tests/test_invariants.py`` and the traced
+    benchmark search those pairs in full instead.
     """
     cfg = cfg if cfg is not None else EngineConfig.make()
     # first, so that its type check rejects an ill-typed pair
     equ_hi, cert = equ_upper_bound(env, ty, m, n, cfg.registry)
     obs_lo, witness = obs_lower_bound(env, ty, m, n, cfg.budget, cfg.registry, upper_bound=equ_hi)
-    den = DistInterval(0.0, 0.0)  # the sandwich obs <= den <= equ closes it at 0
-    if equ_hi != 0.0:
+    if equ_hi == 0.0:
+        # the sandwich obs <= den <= int <= equ; int keeps int_distance's flag
+        den = DistInterval(0.0, 0.0)
+        ints = DistInterval(0.0, 0.0, normalized=not (is_beta_normal(m) and is_beta_normal(n)))
+    else:
         den = den_distance(
             env, ty, m, n, cfg.battery, depth=cfg.depth, upper_bound=equ_hi, registry=cfg.registry
         )
-    ints = int_distance(env, ty, m, n, cfg.battery, registry=cfg.registry)
+        ints = int_distance(env, ty, m, n, cfg.battery, registry=cfg.registry)
 
     chain_ok = (
         obs_lo <= den.hi + EPS

@@ -635,7 +635,8 @@ def int_distance(
 
     Non-normal inputs are normalized first and the result is flagged; it
     is then a lower-bound reading for the original pair (normalization
-    never increases this metric).
+    never increases this metric). The search runs in full whatever the
+    pair; ``ordering_report`` skips the call at a certified 0.
     """
     registry = registry if registry is not None else default_registry()
     battery = battery if battery is not None else ProbeBattery(registry)

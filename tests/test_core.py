@@ -47,7 +47,6 @@ from linmetric.core import (
     replace_at,
     search,
     subterm_at,
-    tensor_of,
     typecheck,
     type_polarity,
 )
@@ -474,11 +473,6 @@ def test_registry_validation_catches_violation():
     bad = SymbolRegistry([Symbol("dbl", 1, lambda a: 2 * a)])
     with pytest.raises(Exception):
         bad.validate_nonexpansive(seed=0, samples=50)
-
-
-def test_tensor_of():
-    assert tensor_of([R, R, I]) == TTensor(TTensor(R, R), I)
-    assert tensor_of([]) == I
 
 
 def test_parse_env():

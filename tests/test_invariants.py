@@ -22,7 +22,7 @@ from linmetric.core import (
     print_term,
     typecheck,
 )
-from linmetric.dynamics import beta_normalize, eq_canonical, eq_decide, evaluate, alpha_eq
+from linmetric.dynamics import beta_normalize, eq_canonical, eq_decide, evaluate, alpha_eq, is_beta_normal
 from linmetric.gen import (
     admissibility_corpus,
     closed_observable_corpus,
@@ -158,9 +158,10 @@ def test_eq_decide_implies_zero_for_all_engines():
 
 
 def test_full_searches_find_zero_where_equ_certifies_zero():
-    # ordering_report stops obs and den at once on these pairs, so its
-    # chain check cannot catch an unsound equ = 0; the full searches can
-    zeros = 0
+    # ordering_report stops obs and closes den and int at once on these
+    # pairs, so its chain check cannot catch an unsound equ = 0; the full
+    # searches can, and int's must set the flag the report sets
+    zeros = normalized = 0
     for env, ty, m, n in typed_pair_corpus(28, 120, REG):
         r, _ = equ_upper_bound(env, ty, m, n, REG)
         if r != 0.0:
@@ -168,7 +169,11 @@ def test_full_searches_find_zero_where_equ_certifies_zero():
         zeros += 1
         assert den_distance(env, ty, m, n, BATTERY, upper_bound=INF, registry=REG).lo == 0.0
         assert obs_lower_bound(env, ty, m, n, registry=REG)[0] == 0.0
-    assert zeros >= 30
+        ints = int_distance(env, ty, m, n, BATTERY, registry=REG)
+        assert (ints.lo, ints.hi) == (0.0, 0.0)
+        assert ints.normalized == (not (is_beta_normal(m) and is_beta_normal(n)))
+        normalized += ints.normalized
+    assert zeros >= 30 and normalized >= 5
 
 
 @pytest.mark.parametrize("seed", [5, 6])

@@ -47,6 +47,7 @@ from linmetric.metrics import (
     replay_obs_witness,
 )
 from linmetric.semden import den_distance
+from linmetric.semint import int_distance
 
 CFG = EngineConfig.make(seed=0)
 
@@ -281,6 +282,19 @@ def test_eq0_with_a_side_that_does_not_typecheck_is_rejected_at_its_path(d, mess
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "wrap, path",
+    [(lambda d: d, "root"), (lambda d: Trans(d, ConstAxiom(1.0, 1.0, 0.0)), "root.left")],
+)
+def test_eq0_with_a_side_that_overflows_on_folding_is_rejected_at_its_path(wrap, path):
+    t = parse_term("add(1e308, 1e308)")
+    with pytest.raises(CertificateError) as exc:
+        check_qderivation(wrap(Eq0(EMPTY_ENV, R, t, t)))
+    assert str(exc.value) == (
+        f"{path}: Eq0 side does not fold: add(1e+308, 1e+308) = inf is not a finite number"
+    )
+
+
 def test_check_qderivation_rejects_nonlinear_context():
     env = parse_env("x:R")
     ctx = Lam("x", R, FnApp("add", (Var("x"), HOLE)))
@@ -373,6 +387,33 @@ def test_ordering_report_skips_den_at_a_certified_zero(monkeypatch):
         [],
     )
     assert rep["chain_ok"]
+    ordering_report(env, R, n, parse_term("add(v0, k 2.0)"), CFG)
+    assert len(calls) == 1
+
+
+def test_ordering_report_skips_int_at_a_certified_zero(monkeypatch):
+    import linmetric.metrics as metrics
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return int_distance(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "int_distance", counting)
+    env = env_of(("v0", R), ("k", TLolli(R, R)))
+    m, n = parse_term(r"(\x:R. add(x, k 1.0)) v0"), parse_term("add(v0, k 1.0)")
+    rep = ordering_report(env, R, m, n, CFG)
+    # M has a redex, so a full search would normalize it and say so
+    assert (rep["metrics"]["equ"]["hi"], rep["metrics"]["int"], calls) == (
+        0.0,
+        {"lo": 0.0, "hi": 0.0, "normalized": True},
+        [],
+    )
+    assert rep["chain_ok"]
+    # both sides beta-normal: nothing to normalize
+    rep = ordering_report(env, R, n, parse_term("add(v0, k 1.0)"), CFG)
+    assert (rep["metrics"]["int"], calls) == ({"lo": 0.0, "hi": 0.0, "normalized": False}, [])
     ordering_report(env, R, n, parse_term("add(v0, k 2.0)"), CFG)
     assert len(calls) == 1
 
