@@ -1075,101 +1075,120 @@ def _env(bindings: tuple[tuple[str, Ty], ...]) -> Env:
 
 
 class _Checker:
-    """Linear typing in one pass, reading each split off the premises.
+    """Linear typing in one walk, reading each split off the premises.
 
     ``_check(scope, t)`` takes ``scope``, each name in scope mapped to its
     type in environment order (a binder shadows an outer name it repeats),
-    and returns the derivation whose ``env`` is the part of ``scope`` the
-    premises used.  A name two premises use is used twice; a binder, or a
-    name of ``check``'s environment, that goes unused is an error.  A hole
-    uses exactly the hole environment, which must be the part of ``scope``
-    it names, in order and with the same types.
-
-    The environments the checker builds itself skip ``Env``'s duplicate
-    check: each is one binding, a part of ``scope`` (a dict, whose keys
-    are distinct) in scope order, or a prefix of such a part.  The
-    environment passed to ``check`` and the hole environment come from the
-    caller, were checked when they were built, and are used as they are.
+    and returns the type of ``t``, the names of ``scope`` it uses, in scope
+    order, and its derivation, which is None unless ``build`` is set (only
+    ``derive`` sets it; no check depends on it).  A name two premises use
+    is used twice; a binder, or a name of ``check``'s environment, that
+    goes unused is an error.  A hole uses exactly the hole environment,
+    which must be the part of ``scope`` it names, in order.  A derivation's
+    ``env`` is the part of ``scope`` its names pick, built without ``Env``'s
+    duplicate check: the keys of a dict are distinct.
     """
 
-    def __init__(self, registry: SymbolRegistry, hole: Optional[tuple[Env, Ty]] = None):
+    def __init__(
+        self, registry: SymbolRegistry, hole: Optional[tuple[Env, Ty]] = None, build: bool = False
+    ):
         self.registry = registry
         self.hole = hole
+        self.build = build
 
-    def check(self, env: Env, t: Term) -> Derivation:
-        d = self._check(dict(env.bindings), t)
-        if d.env != env:
-            unused = sorted(set(env.names()) - set(d.env.names()))
+    def check(self, env: Env, t: Term) -> tuple[Ty, Optional[Derivation]]:
+        ty, names, d = self._check(dict(env.bindings), t)
+        if len(names) != len(env):  # names is a part of env, in env's order
+            unused = sorted(set(env.names()) - set(names))
             raise TypeError_(f"unused variable(s): {unused} (linearity violation)")
-        return d
+        return ty, d
 
-    def _check(self, scope: dict[str, Ty], t: Term) -> Derivation:
+    def _check(self, scope: dict[str, Ty], t: Term) -> tuple:
         cls = type(t)
         if cls is Var:
             if t.name not in scope:
                 raise TypeError_(f"unbound variable {t.name!r}")
-            ty = scope[t.name]
-            return _derivation(t, _env(((t.name, ty),)), ty)
+            return self._done(scope, t, scope[t.name], (t.name,))
         if cls is FnApp:
             sym = self.registry.get(t.symbol)
             if len(t.args) != sym.arity:
                 raise TypeError_(f"symbol {t.symbol!r} has arity {sym.arity}, got {len(t.args)}")
             subs = [self._check(scope, a) for a in t.args]
-            for d in subs:
-                if d.ty != R:
-                    raise TypeError_(f"argument of {t.symbol!r} must be R, got {print_type(d.ty)}")
-            return _node(scope, t, R, [d.env for d in subs], subs)
+            for s in subs:
+                if s[0] != R:
+                    raise TypeError_(f"argument of {t.symbol!r} must be R, got {print_type(s[0])}")
+            return self._node(scope, t, R, subs)
         if cls is Const:
-            return _derivation(t, EMPTY_ENV, R)
+            return self._done(scope, t, R, ())
         if cls is App:
-            df = self._check(scope, t.fn)
-            if not isinstance(df.ty, TLolli):
-                raise TypeError_(f"application head has type {print_type(df.ty)}, not a function")
-            da = self._check(scope, t.arg)
-            if da.ty != df.ty.arg:
+            f = self._check(scope, t.fn)
+            fty = f[0]
+            if not isinstance(fty, TLolli):
+                raise TypeError_(f"application head has type {print_type(fty)}, not a function")
+            a = self._check(scope, t.arg)
+            if a[0] != fty.arg:
                 raise TypeError_(
-                    f"argument type {print_type(da.ty)} does not match {print_type(df.ty.arg)}"
+                    f"argument type {print_type(a[0])} does not match {print_type(fty.arg)}"
                 )
-            return _node(scope, t, df.ty.res, [df.env, da.env], [df, da])
+            return self._node(scope, t, fty.res, [f, a])
         if cls is Lam:
-            db = self._check(_bind(scope, ((t.var, t.ann),)), t.body)
-            return _derivation(t, _unbind(db.env, (t.var,)), TLolli(t.ann, db.ty), (), (db,))
+            b = self._check(_bind(scope, ((t.var, t.ann),)), t.body)
+            return self._done(scope, t, TLolli(t.ann, b[0]), _unbind(b[1], (t.var,)), (), [b])
         if cls is Pair:
-            dl = self._check(scope, t.left)
-            dr = self._check(scope, t.right)
-            return _node(scope, t, TTensor(dl.ty, dr.ty), [dl.env, dr.env], [dl, dr])
+            l = self._check(scope, t.left)
+            r = self._check(scope, t.right)
+            return self._node(scope, t, TTensor(l[0], r[0]), [l, r])
         if cls is LetStar:
-            ds = self._check(scope, t.scrutinee)
-            if ds.ty != I:
-                raise TypeError_(f"let * scrutinee must be I, got {print_type(ds.ty)}")
-            db = self._check(scope, t.body)
-            return _node(scope, t, db.ty, [ds.env, db.env], [ds, db])
+            s = self._check(scope, t.scrutinee)
+            if s[0] != I:
+                raise TypeError_(f"let * scrutinee must be I, got {print_type(s[0])}")
+            b = self._check(scope, t.body)
+            return self._node(scope, t, b[0], [s, b])
         if cls is LetPair:
-            ds = self._check(scope, t.scrutinee)
-            if not isinstance(ds.ty, TTensor):
-                raise TypeError_(f"let (x) scrutinee must be a tensor, got {print_type(ds.ty)}")
+            s = self._check(scope, t.scrutinee)
+            sty = s[0]
+            if not isinstance(sty, TTensor):
+                raise TypeError_(f"let (x) scrutinee must be a tensor, got {print_type(sty)}")
             if t.var1 == t.var2:
                 raise TypeError_(f"let (x) binds {t.var1!r} twice")
-            binders = ((t.var1, ds.ty.left), (t.var2, ds.ty.right))
-            db = self._check(_bind(scope, binders), t.body)
-            eb = _unbind(db.env, (t.var1, t.var2))
-            return _node(scope, t, db.ty, [ds.env, eb], [ds, db])
+            binders = ((t.var1, sty.left), (t.var2, sty.right))
+            bty, names, db = self._check(_bind(scope, binders), t.body)
+            return self._node(scope, t, bty, [s, (bty, _unbind(names, (t.var1, t.var2)), db)])
         if cls is Star:
-            return _derivation(t, EMPTY_ENV, I)
+            return self._done(scope, t, I, ())
         if cls is Hole:
             if self.hole is None:
                 raise TypeError_("hole in a plain term")
             henv, hty = self.hole
-            named = _used(scope, set(henv.names()))
-            if named != henv:
+            named = tuple([b for b in scope.items() if b[0] in henv.names()])
+            if named != henv.bindings:
                 raise TypeError_(f"hole expects environment {list(henv)}, got {list(named)}")
-            return _derivation(t, henv, hty)
+            return self._done(scope, t, hty, henv.names())
         raise AssertionError(t)
 
+    def _node(self, scope: dict[str, Ty], t: Term, ty: Ty, subs: list[tuple]) -> tuple:
+        """``t`` of type ``ty``, whose premises ``subs`` used disjoint parts of ``scope``."""
+        split = tuple([s[1] for s in subs])
+        parts = [p for p in split if p]
+        if len(parts) < 2:  # nothing used twice, and a premise's names are in scope order
+            return self._done(scope, t, ty, parts[0] if parts else (), (split,), subs)
+        used = set().union(*parts)
+        if len(used) != sum(map(len, parts)):
+            seen: set[str] = set()
+            for part in parts:
+                twice = seen.intersection(part)
+                if twice:
+                    raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
+                seen.update(part)
+        return self._done(scope, t, ty, tuple([n for n in scope if n in used]), (split,), subs)
 
-def _used(scope: dict[str, Ty], names: set[str]) -> Env:
-    """The bindings of ``scope`` named in ``names``, in scope order."""
-    return _env(tuple([b for b in scope.items() if b[0] in names]))
+    def _done(self, scope: dict, t: Term, ty: Ty, names: tuple, splits=(), subs=()) -> tuple:
+        """``_check``'s result, with a derivation only if ``build`` is set."""
+        if not self.build:
+            return ty, names, None
+        env = _env(tuple([(n, scope[n]) for n in names])) if names else EMPTY_ENV
+        kids = tuple([s[2] for s in subs]) if subs else ()
+        return ty, names, _derivation(t, env, ty, splits, kids)
 
 
 def _bind(scope: dict[str, Ty], binders: tuple[tuple[str, Ty], ...]) -> dict[str, Ty]:
@@ -1181,38 +1200,24 @@ def _bind(scope: dict[str, Ty], binders: tuple[tuple[str, Ty], ...]) -> dict[str
     return inner
 
 
-def _unbind(env: Env, binders: tuple[str, ...]) -> Env:
-    """A body's ``env`` less its binders, which ``_bind`` put last."""
-    unused = [v for v in binders if v not in env.names()]
+def _unbind(names: tuple[str, ...], binders: tuple[str, ...]) -> tuple[str, ...]:
+    """A body's ``names`` less its binders, which ``_bind`` put last."""
+    unused = [v for v in binders if v not in names]
     if unused:
         raise TypeError_(f"bound variable {unused[0]!r} unused (linearity violation)")
-    return _env(env.bindings[: -len(binders)])
-
-
-def _node(
-    scope: dict[str, Ty], t: Term, ty: Ty, parts: list[Env], subs: list[Derivation]
-) -> Derivation:
-    """The derivation of ``t`` whose premises used the disjoint ``parts`` of ``scope``."""
-    split = tuple([p.names() for p in parts])
-    used = set().union(*split)
-    if len(used) != sum(map(len, split)):
-        seen: set[str] = set()
-        for names in split:
-            twice = seen.intersection(names)
-            if twice:
-                raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
-            seen.update(names)
-    return _derivation(t, _used(scope, used), ty, (split,), tuple(subs))
+    return names[: -len(binders)]
 
 
 def typecheck(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) -> Ty:
-    """Returns the unique type of ``term`` under ``env`` or raises TypeError_."""
-    return derive(env, term, registry).ty
+    """The unique type of ``term`` under ``env``, or raises TypeError_; builds no derivation."""
+    registry = registry if registry is not None else default_registry()
+    return _Checker(registry).check(env, term)[0]
 
 
 def derive(env: Env, term: Term, registry: Optional[SymbolRegistry] = None) -> Derivation:
+    """The derivation ``typecheck`` checks: each node's term, env, type and premises' names."""
     registry = registry if registry is not None else default_registry()
-    return _Checker(registry).check(env, term)
+    return _Checker(registry, build=True).check(env, term)[1]
 
 
 def check_context(
@@ -1231,7 +1236,7 @@ def check_context(
         return False
     checker = _Checker(registry, hole=src)
     try:
-        d = checker.check(dst[0], ctx)
+        ty = checker.check(dst[0], ctx)[0]
     except LinError:
         return False
-    return d.ty == dst[1]
+    return ty == dst[1]

@@ -213,9 +213,9 @@ def equ_upper_bound(
         raise TypeError_("equ_upper_bound: terms do not have the stated type")
     cm = eq_canonical(m, registry)
     cn = eq_canonical(n, registry)
-    if alpha_eq(cm, cn):
-        return 0.0, Eq0(env, ty, m, n)
     diffs = literal_diffs(cm, cn)
+    if diffs == []:  # alpha_eq(cm, cn)
+        return 0.0, Eq0(env, ty, m, n)
     if diffs is None or any(isinstance(a, str) for _, a, _ in diffs):
         return INF, None
     steps: list[QDerivation] = []

@@ -272,12 +272,6 @@ def _invariant_parts(body: Term, var: str, slots: dict) -> list[Term]:
     return out
 
 
-def value_to_sem(v: Term, registry: Optional[SymbolRegistry] = None) -> Value:
-    """Denotation of a closed value."""
-    registry = registry if registry is not None else default_registry()
-    return compile_term(v, {}, 0, registry)(())
-
-
 # ---------------------------------------------------------------------------
 # Ground distances
 

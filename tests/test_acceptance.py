@@ -51,7 +51,6 @@ from linmetric.semden import (
     den_distance,
     ground_l1,
     interp_den,
-    value_to_sem,
 )
 from linmetric.semint import (
     WireFunction,
@@ -195,7 +194,7 @@ def test_criterion_6_soundness_and_observable_collapse():
     for ty, term in corpus:
         value = evaluate(term, registry)
         # evaluation soundness in the plain model, exact equality
-        assert interp_den(EMPTY_ENV, term, registry)(()) == value_to_sem(value, registry)
+        assert interp_den(EMPTY_ENV, term, registry)(()) == interp_den(EMPTY_ENV, value, registry)(())
         # the wire strategy reproduces the value's components exactly
         wf = interp_int(EMPTY_ENV, term, registry)
         got = wf(())

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linmetric import core
 from linmetric.core import (
     App,
     Const,
@@ -317,6 +318,35 @@ def test_derive_builds_its_environments_without_the_duplicate_check(monkeypatch)
     assert runs == []
 
 
+def test_only_derive_builds_derivation_and_env_nodes(monkeypatch):
+    built = []
+    for name in ("_derivation", "_env"):
+        make = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, _make=make: built.append(a) or _make(*a))
+    env = env_of(("p", TTensor(R, R)), ("z", R))
+    t = parse_term(r"let a (x) b = p in (\y:R. add(add(a, y), b)) z")
+    assert typecheck(env, t) == R
+    ctx = parse_term(r"\x:R. \y:R. add([-], 1.0)")
+    assert check_context(ctx, (env_of(("x", R), ("y", R)), R), (EMPTY_ENV, TLolli(R, TLolli(R, R))))
+    assert not check_context(ctx, (env_of(("y", R), ("x", R)), R), (EMPTY_ENV, TLolli(R, TLolli(R, R))))
+    assert built == []
+    assert derive(env, t).env == env
+    assert built
+
+
+def _same_verdict(env, t, registry):
+    """``typecheck`` gives ``derive``'s type, or raises the same message."""
+    try:
+        d = derive(env, t, registry)
+    except TypeError_ as e:
+        with pytest.raises(TypeError_) as got:
+            typecheck(env, t, registry)
+        assert str(got.value) == str(e)
+        return None
+    assert typecheck(env, t, registry) == d.ty
+    return d
+
+
 def _assert_well_formed(d):
     """Every node's env re-validates, no split uses a name twice, and the
     premise envs follow the free variables."""
@@ -343,15 +373,14 @@ def test_checker_on_generated_terms(rng):
     registry = corpus_registry()
     env, ty = gen_feasible_pair_site(rng)
     m = gen_term(rng, env, ty, registry, fuel=rng.randint(1, 5))
-    d = derive(env, m, registry)
+    d = _same_verdict(env, m, registry)
     assert (d.ty, d.env) == (ty, env)
     _assert_well_formed(d)
     # environment names, gen's binder names and an unbound name
     names = ["v0", "v1", "w1", "w2", "w3", "x"]
     for n in (mutate(rng, m), _spoil(rng, mutate(rng, m), names)):
-        try:
-            d = derive(env, n, registry)
-        except TypeError_:
+        d = _same_verdict(env, n, registry)
+        if d is None:
             continue
         assert isinstance(d.ty, Ty) and d.env == env
         _assert_well_formed(d)

@@ -40,7 +40,6 @@ from linmetric.semden import (
     replay_lo,
     sem_l1,
     value_dist_lower,
-    value_to_sem,
 )
 
 BATTERY = ProbeBattery(seed=0)
@@ -88,7 +87,7 @@ def test_interp_matches_eval_on_samples():
         m = parse_term(text)
         ty = typecheck(EMPTY_ENV, m)
         got = interp_den(EMPTY_ENV, m)(())
-        want = value_to_sem(evaluate(m))
+        want = interp_den(EMPTY_ENV, evaluate(m))(())
         assert got == want, text
 
 
@@ -116,7 +115,7 @@ def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
     m = App(App(App(fun, Const(1.0)), Pair(Const(2.0), Const(3.0))), Const(4.0))
     got = interp_den(EMPTY_ENV, m)(())
     assert got == math.sin(1.0) + 4.0 + (math.sin(2.0) + 3.0)
-    assert got == value_to_sem(evaluate(m))
+    assert got == interp_den(EMPTY_ENV, evaluate(m))(())
 
 
 # -- ground metric -------------------------------------------------------------
@@ -169,6 +168,17 @@ def test_battery_deterministic():
 def test_battery_builds_the_samples_of_each_type_once():
     for ty in (R, I, TTensor(R, I), parse_type("R -o R")):
         assert BATTERY.samples(ty) is BATTERY.samples(ty)
+
+
+def test_battery_probes_no_function_past_the_depth_cut():
+    # 6 constant maps and 9 curried ones; the first stage of each curried
+    # map probes the (x) source, whose left part R -o R is at depth 0 and
+    # gets no probe, so every sample reads the right part alone
+    samples = ProbeBattery().samples(parse_type("((R -o R) (x) R) -o R -o R"))
+    assert len(samples) == 15
+    ident, shift = (lambda x: x), (lambda x: x + 3.0)
+    assert all(f((ident, 0.5))(1.0) == f((shift, 0.5))(1.0) for f in samples)
+    assert any(f((ident, 0.5))(1.0) != f((ident, 2.0))(1.0) for f in samples)
 
 
 def test_battery_functions_nonexpansive():
