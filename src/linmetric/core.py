@@ -439,15 +439,15 @@ def _field(entry: dict, key: str, kind: type = str):
     return entry[key]
 
 
-def _finite(x) -> Optional[float]:
-    """``x`` as a float if it is a finite JSON number, else None."""
-    if not isinstance(x, (int, float)):
+def _number(x) -> Optional[float]:
+    """``x`` as a float if it is a JSON number, else None.  A boolean is
+    not a number (Python makes it an int), nor is a string of digits."""
+    if type(x) not in (int, float):
         return None
     try:
-        x = float(x)
+        return float(x)
     except OverflowError:  # an integer beyond the float range
         return None
-    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -528,23 +528,22 @@ class SymbolRegistry:
             kind, raw = entry.get("builtin"), entry.get("value")
             if kind not in BUILTIN_KINDS:
                 raise RegistryError(f"symbol {name!r}: unknown builtin kind {kind!r}")
-            value = None if raw is None else _finite(raw)
-            if raw is not None and value is None:
+            value = None if raw is None else _number(raw)
+            if raw is not None and (value is None or not math.isfinite(value)):
                 raise RegistryError(f"symbol {name!r}: value {raw!r} is not a finite number")
             arity, fn = _make_evaluator(kind, value)
             declared = entry.get("arity", arity)
-            if declared != arity:
-                raise RegistryError(f"symbol {name!r}: builtin {kind!r} has arity {arity}, not {declared}")
+            if type(declared) is not int or declared != arity:
+                raise RegistryError(f"symbol {name!r}: builtin {kind!r} has arity {arity}, not {declared!r}")
             symbols.append(Symbol(name, arity, fn))
         gaps = {}
         for entry in _entries(config, "gaps"):
-            a, b, bound = _field(entry, "a"), _field(entry, "b"), _field(entry, "bound", object)
-            try:
-                bound = float(bound)
-            except (TypeError, ValueError, OverflowError):
-                raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not a number") from None
+            a, b, raw = _field(entry, "a"), _field(entry, "b"), _field(entry, "bound", object)
+            bound = _number(raw)
+            if bound is None:
+                raise RegistryError(f"gap {a!r}/{b!r}: bound {raw!r} is not a number")
             if not bound >= 0.0:  # also rejects NaN
-                raise RegistryError(f"gap {a!r}/{b!r}: bound {bound!r} is not >= 0")
+                raise RegistryError(f"gap {a!r}/{b!r}: bound {raw!r} is not >= 0")
             gaps[(a, b)] = bound
         return SymbolRegistry(symbols, gaps)
 

@@ -17,11 +17,12 @@ sentinels by identity).  Each term is compiled once, by
 ``compile_term``, into Python closures over a slot-indexed environment
 tuple (variables resolved to tuple indices, symbols to their
 evaluators); the probes then run the compiled code, not the syntax
-tree.  A map on real wires that runs at many points is a wire term
-(variables, constants and symbols over the wires) and is compiled the
-same way: so are the battery's probes of a real argument and
-``gen.random_wire_function``'s outputs.  ``semint.int_term_denotation``
-runs a wire term at one point, so it walks the term instead.
+tree.  A map that runs at many points is a term compiled the same way:
+every map the probe battery samples is a small λ-term over the sub-maps
+and sample values it composes, and ``gen.random_wire_function``'s
+outputs are wire terms (variables, constants and symbols over the
+wires).  ``semint.int_term_denotation`` runs a wire term at one point,
+so it walks the term instead.
 
 A compiled λ is fully lazy (Hughes 1983): the maximal subterms of its
 body that mention neither its variable nor a name bound inside the body
@@ -54,6 +55,7 @@ from .core import (
     LetStar,
     ModelError,
     Pair,
+    STAR,
     Star,
     SymbolRegistry,
     Term,
@@ -127,8 +129,8 @@ def compile_term(
     λ hoisted, to its index in that tuple; ``depth`` is the tuple's
     length, so a binder always takes the next index, also when its name
     shadows one already in ``slots``.  A wire term is a term over the
-    wire variables, so the battery's real probes and
-    ``gen.random_wire_function`` compile with it too.  Like
+    wire variables, so ``gen.random_wire_function`` compiles with it too,
+    and so does every map of the probe battery.  Like
     ``core.children`` it dispatches on the exact class.
     """
     cls = type(t)
@@ -312,6 +314,9 @@ def sem_l1(a: Value, b: Value, ty: Ty) -> float:
 DEFAULT_GRID = (-10.0, -1.0, -0.5, 0.0, 0.5, 1.0, 10.0)
 # how deeply the function samples compose registry symbols
 FN_DEPTH = 2
+# the names the battery's templates read: a map's argument p, x or y, the
+# components a and b of a pair, the sub-maps h and g and a sample value v
+_P, _X, _Y, _A, _B, _H, _G, _V = (Var(n) for n in "pxyabhgv")
 
 
 class ProbeBattery:
@@ -321,6 +326,11 @@ class ProbeBattery:
     come from a combinator pool (constants, projections into registry
     symbols, compositions up to depth ``FN_DEPTH``).  Every generated
     function is non-expansive by construction.
+
+    Every sampled map is a compiled term: a small λ-term (a template)
+    whose free names are bound to the sub-maps and sample values it
+    composes, compiled once by ``compile_term`` and run on each binding
+    of its parts, so only ``compile_term`` says what a map does at bottom.
     """
 
     def __init__(
@@ -338,65 +348,52 @@ class ProbeBattery:
         self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
         self._cache: dict[Ty, list[Value]] = {}
 
+    def _compiled(self, template: Term, *names: str) -> Callable[..., Value]:
+        """Compile ``template`` once; the result, called with one part per
+        name in ``names``, is the template's value with those names bound."""
+        code = compile_term(template, {n: i for i, n in enumerate(names)}, len(names), self.registry)
+        return lambda *parts: code(parts)
+
     # -- scalar-valued combinators ------------------------------------------
 
     def _real_probes(self, src: Ty, depth: int) -> list[Callable[[Value], Value]]:
-        """Non-expansive maps src -> R, as python callables."""
-        reg = self.registry
-        unary = reg.names_of_arity(1)
-        binary = reg.names_of_arity(2)
+        """Non-expansive maps src -> R, as compiled terms."""
+        unary = self.registry.names_of_arity(1)
+        binary = self.registry.names_of_arity(2)
         if isinstance(src, TReal):
-            p = Var("p")
-            terms: list[Term] = [p, *[FnApp(n, (p,)) for n in unary]]
-            terms += [FnApp(n, (p, Const(c))) for n in binary for c in (0.0, 1.0, -1.0)]
+            terms: list[Term] = [_P, *[FnApp(n, (_P,)) for n in unary]]
+            terms += [FnApp(n, (_P, Const(c))) for n in binary for c in (0.0, 1.0, -1.0)]
             if depth > 1:
                 terms += [FnApp(n, (h,)) for h in terms[: 1 + len(unary)] for n in unary]
-            code = [compile_term(h, {"p": 0}, 1, reg) for h in terms]
-            return [lambda v, _c=c: _c((v,)) for c in code]
+            return [self._compiled(Lam("p", src, h))() for h in terms]
         if isinstance(src, TUnit):
-            return [lambda v, _c=c: _c for c in (0.0, 1.0)]
+            const = self._compiled(Lam("p", src, _V), "v")
+            return [const(c) for c in (0.0, 1.0)]
         if isinstance(src, TTensor):
-            lefts = self._real_probes(src.left, depth - 1) or []
-            rights = self._real_probes(src.right, depth - 1) or []
+            lefts = self._real_probes(src.left, depth - 1)
+            rights = self._real_probes(src.right, depth - 1)
 
-            def via_left(h):
-                return lambda v: BOTTOM if v is BOTTOM else h(v[0])
+            def split(body: Term, *names: str) -> Callable[..., Value]:
+                return self._compiled(Lam("p", src, LetPair("a", "b", _P, body)), *names)
 
-            def via_right(h):
-                return lambda v: BOTTOM if v is BOTTOM else h(v[1])
-
+            via_left, via_right = split(App(_H, _A), "h"), split(App(_H, _B), "h")
             out = [via_left(h) for h in lefts[:4]] + [via_right(h) for h in rights[:4]]
             for n in binary:
-                fsym = self.registry.get(n).evaluator
-                for hl in lefts[:2]:
-                    for hr in rights[:2]:
-
-                        def combined(v, _hl=hl, _hr=hr, _f=fsym):
-                            if v is BOTTOM:
-                                return BOTTOM
-                            a, b = _hl(v[0]), _hr(v[1])
-                            if a is BOTTOM or b is BOTTOM:
-                                return BOTTOM
-                            return _f(a, b)
-
-                        out.append(combined)
+                combined = split(FnApp(n, (App(_H, _A), App(_G, _B))), "h", "g")
+                out += [combined(hl, hr) for hl in lefts[:2] for hr in rights[:2]]
             return out
         if isinstance(src, TLolli):
             if depth <= 0:
                 return []
             args = self.samples(src.arg)[:3]
-            posts = self._real_probes(src.res, depth - 1)[:3] if not isinstance(src.res, TReal) else [lambda v: v]
-            out = []
-            for a in args:
-                for h in posts:
-
-                    def probe(v, _a=a, _h=h):
-                        if v is BOTTOM:
-                            return BOTTOM
-                        return _h(v(_a))
-
-                    out.append(probe)
-            return out
+            if isinstance(src.res, TReal):
+                probe = self._compiled(Lam("p", src, App(_P, _A)), "a")
+                return [probe(a) for a in args]
+            # a unit probe ignores its argument, so the unit is forced first
+            body = LetStar(App(_P, _A), App(_H, STAR)) if isinstance(src.res, TUnit) else App(_H, App(_P, _A))
+            probe = self._compiled(Lam("p", src, body), "h", "a")
+            posts = self._real_probes(src.res, depth - 1)[:3]
+            return [probe(h, a) for a in args for h in posts]
         raise AssertionError(src)
 
     # -- samples -------------------------------------------------------------
@@ -420,17 +417,15 @@ class ProbeBattery:
         raise AssertionError(ty)
 
     def _function_samples(self, ty: TLolli) -> list[Value]:
-        out: list[Value] = []
         # constant maps: always non-expansive
-        for v in self.samples(ty.res)[:6]:
-            out.append(lambda _x, _v=v: _v)
+        const = self._compiled(Lam("x", ty.arg, _V), "v")
+        out = [const(v) for v in self.samples(ty.res)[:6]]
         out.extend(self._structured_functions(ty))
-        if len(out) < self.max_samples and isinstance(ty.res, TReal):
+        if isinstance(ty.res, TReal):
             # pad with seeded constant maps up to the requested battery size
             rng = random.Random(self.seed ^ zlib.crc32(repr(ty).encode()))
             while len(out) < self.max_samples:
-                c = rng.uniform(-100.0, 100.0)
-                out.append(lambda _x, _c=c: _c)
+                out.append(const(rng.uniform(-100.0, 100.0)))
         return out[: self.max_samples]
 
     def _structured_functions(self, ty: TLolli) -> list[Value]:
@@ -439,40 +434,26 @@ class ProbeBattery:
         if isinstance(ty.res, TReal):
             out.extend(self._real_probes(ty.arg, FN_DEPTH))
         elif isinstance(ty.res, TUnit):
-            out.append(lambda _x: UNIT)
+            out.append(self._compiled(Lam("x", ty.arg, STAR))())
         elif isinstance(ty.res, TTensor):
             # one active component at a time keeps the map non-expansive
             if isinstance(ty.res.left, TReal):
-                for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
-                    for w in self.samples(ty.res.right)[:2]:
-                        out.append(lambda x, _h=h, _w=w: (_h(x), _w))
+                pair = self._compiled(Lam("x", ty.arg, Pair(App(_H, _X), _V)), "h", "v")
+                hs = self._real_probes(ty.arg, FN_DEPTH)[:4]
+                out += [pair(h, w) for h in hs for w in self.samples(ty.res.right)[:2]]
             if isinstance(ty.res.right, TReal):
-                for h in self._real_probes(ty.arg, FN_DEPTH)[:4]:
-                    for w in self.samples(ty.res.left)[:2]:
-                        out.append(lambda x, _h=h, _w=w: (_w, _h(x)))
-        elif isinstance(ty.res, TLolli):
-            inner = TLolli(ty.res.arg, ty.res.res)
-            if isinstance(ty.res.res, TReal):
-                # x |-> (y |-> f(h(x), g(y))): non-expansive in each stage
-                hs = self._real_probes(ty.arg, 1)[:3]
-                gs = self._real_probes(inner.arg, 1)[:3] if not isinstance(inner.arg, TUnit) else []
-                for n in self.registry.names_of_arity(2)[:1]:
-                    fsym = self.registry.get(n).evaluator
-                    for h in hs:
-                        for g in gs:
-
-                            def curried(x, _h=h, _g=g, _f=fsym):
-                                hx = _h(x)
-
-                                def stage(y, _hx=hx):
-                                    gy = _g(y)
-                                    if _hx is BOTTOM or gy is BOTTOM:
-                                        return BOTTOM
-                                    return _f(_hx, gy)
-
-                                return stage
-
-                            out.append(curried)
+                pair = self._compiled(Lam("x", ty.arg, Pair(_V, App(_H, _X))), "h", "v")
+                hs = self._real_probes(ty.arg, FN_DEPTH)[:4]
+                out += [pair(h, w) for h in hs for w in self.samples(ty.res.left)[:2]]
+        elif isinstance(ty.res, TLolli) and isinstance(ty.res.res, TReal):
+            # x |-> (y |-> f(h(x), g(y))): non-expansive in each stage, and
+            # λ-hoisting runs h x once per x
+            hs = self._real_probes(ty.arg, 1)[:3]
+            gs = self._real_probes(ty.res.arg, 1)[:3] if not isinstance(ty.res.arg, TUnit) else []
+            for n in self.registry.names_of_arity(2)[:1]:
+                stages = Lam("x", ty.arg, Lam("y", ty.res.arg, FnApp(n, (App(_H, _X), App(_G, _Y)))))
+                curried = self._compiled(stages, "h", "g")
+                out += [curried(h, g) for h in hs for g in gs]
         return out
 
     def env_samples(self, env: Env, limit: int = 64) -> list[SemEnvPoint]:

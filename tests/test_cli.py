@@ -390,6 +390,26 @@ def test_eval_rejects_a_registry_with_a_malformed_gap(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        '{"symbols": [{"name": "c", "builtin": "const", "value": true}]}',
+        '{"symbols": [{"name": "c", "arity": true, "builtin": "const", "value": 7.0}]}',
+        '{"gaps": [{"a": "c", "b": "add", "bound": "1.5"}]}',
+        '{"gaps": [{"a": "c", "b": "add", "bound": true}]}',
+    ],
+    ids=["bool-value", "bool-arity", "string-bound", "bool-bound"],
+)
+def test_dist_rejects_a_boolean_or_a_string_where_the_registry_wants_a_number(workdir, capsys, entry):
+    (workdir / "typed.json").write_text(entry)
+    files = [str(workdir / "k2.lin"), str(workdir / "k3.lin")]
+    code = main(["dist", *files, "--env", "k:R -o R", "--symbols", str(workdir / "typed.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "config",
     [
         "[]",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -607,6 +608,25 @@ def test_registry_rejects_non_finite_values_and_bad_gaps(config):
 )
 def test_registry_rejects_malformed_entries(config):
     with pytest.raises(RegistryError):
+        SymbolRegistry.from_config(config)
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"symbols": [{"name": "c", "builtin": "const", "value": True}]}, "value True"),
+        ({"symbols": [{"name": "c", "builtin": "const", "value": "7.0"}]}, "value '7.0'"),
+        ({"symbols": [{"name": "s", "builtin": "sin", "arity": True}]}, "arity 1, not True"),
+        ({"symbols": [{"name": "s", "builtin": "sin", "arity": "1"}]}, "arity 1, not '1'"),
+        ({"symbols": [{"name": "s", "builtin": "sin", "arity": 1.0}]}, "arity 1, not 1.0"),
+        ({"gaps": [{"a": "sin", "b": "cos", "bound": "1.5"}]}, "bound '1.5'"),
+        ({"gaps": [{"a": "sin", "b": "cos", "bound": True}]}, "bound True"),
+        ({"gaps": [{"a": "sin", "b": "cos", "bound": False}]}, "bound False"),
+    ],
+)
+def test_registry_rejects_booleans_and_strings_as_numbers(config, field):
+    # Python's bool is an int and float() reads strings, but JSON keeps them apart
+    with pytest.raises(RegistryError, match=re.escape(field)):
         SymbolRegistry.from_config(config)
 
 

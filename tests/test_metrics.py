@@ -20,6 +20,7 @@ from linmetric.core import (
     parse_term,
     parse_type,
     plug,
+    print_term,
     typecheck,
 )
 from linmetric.dynamics import eq_decide, evaluate
@@ -162,6 +163,35 @@ def test_probe_values_are_typed_values():
         ty = parse_type(tname)
         for v in probe_values(ty, CFG.registry):
             assert typecheck(EMPTY_ENV, v, CFG.registry) == ty
+
+
+@pytest.mark.parametrize(
+    "tname, want",
+    [
+        # a function source consumed into I: apply it, keep the unit
+        ("(R -o I) -o I", [r"\p:(R -o I). p 0.0", r"\p:(R -o I). p 1.0"]),
+        # a tensor source consumed into I: dispose of the left unit first
+        ("(I (x) I) -o I", [r"\p:(I (x) I). let a_ (x) b_ = p in let * = a_ in b_"]),
+        # a tensor source with a unit left consumed into R: the last two
+        # dispose of the unit without a symbol
+        (
+            "(I (x) R) -o R",
+            [
+                r"\p:(I (x) R). let a_ (x) b_ = p in add(let * = a_ in 0.0, b_)",
+                r"\p:(I (x) R). let a_ (x) b_ = p in add(let * = a_ in 0.0, cos(b_))",
+                r"\p:(I (x) R). let a_ (x) b_ = p in add(let * = a_ in 1.0, b_)",
+                r"\p:(I (x) R). let a_ (x) b_ = p in add(let * = a_ in 1.0, cos(b_))",
+                r"\p:(I (x) R). let a_ (x) b_ = p in let * = a_ in b_",
+                r"\p:(I (x) R). let a_ (x) b_ = p in let * = a_ in cos(b_)",
+            ],
+        ),
+    ],
+)
+def test_probe_values_consume_unit_sources(tname, want):
+    ty = parse_type(tname)
+    got = probe_values(ty, CFG.registry)
+    assert [print_term(v) for v in got] == want
+    assert all(typecheck(EMPTY_ENV, v, CFG.registry) == ty for v in got)
 
 
 # -- equational upper bounds -----------------------------------------------------

@@ -118,6 +118,18 @@ def test_shared_subterm_under_a_rebinding_reads_the_inner_binding():
     assert got == interp_den(EMPTY_ENV, evaluate(m))(())
 
 
+def test_shared_subterm_under_a_lambda_that_rebinds_its_name():
+    # as above, but a λ rebinds x alone, right under the λ that hoisted
+    # sin(x), so no fresh binder between them drops the hoisted slot
+    s = FnApp("sin", (Var("x"),))
+    inner = App(Lam("x", R, FnApp("add", (s, Var("p")))), Const(2.0))
+    fun = Lam("x", R, Lam("p", R, FnApp("add", (s, inner))))
+    m = App(App(fun, Const(1.0)), Const(5.0))
+    got = interp_den(EMPTY_ENV, m)(())
+    assert got == math.sin(1.0) + (math.sin(2.0) + 5.0)
+    assert got == interp_den(EMPTY_ENV, evaluate(m))(())
+
+
 # -- ground metric -------------------------------------------------------------
 
 
@@ -362,6 +374,14 @@ def test_den_distance_rejects_terms_not_of_the_stated_type():
         den_distance(EMPTY_ENV, TLolli(R, R), Const(1.0), Const(2.0))
 
 
+@pytest.mark.parametrize(
+    "m, n", [(Const(1.0), Lam("x", R, Var("x"))), (Lam("x", R, Var("x")), Const(1.0))]
+)
+def test_den_distance_rejects_one_term_not_of_the_stated_type(m, n):
+    with pytest.raises(TypeError_, match=r"^den_distance: terms do not have the stated type$"):
+        den_distance(EMPTY_ENV, R, m, n)
+
+
 class TaggedVar(Var):
     """Not a term: ``compile_term`` dispatches on the exact class."""
 
@@ -380,6 +400,30 @@ def test_compile_term_rejects_a_subclass_of_a_term_class(bad):
 
 # BLAKE2b of the outputs below, as the lift_real probes gave them
 BATTERY_OUTPUTS_DIGEST = "be00b45ff47935a956bf8b1ddef62e71"
+# the same for the shapes each battery template builds, as the hand-written
+# closures gave them before the templates replaced them
+TEMPLATE_OUTPUTS_DIGEST = "4ddeee4e6c22607d3d366f95f6691b4e"
+
+BATTERY_TYPES = (
+    "R -o R",
+    "R (x) R -o R",
+    "(R -o R) -o R",
+    "R -o R (x) R",
+    "R -o R -o R",
+    "I (x) R -o R",
+)
+TEMPLATE_TYPES = (
+    "I -o R",
+    "(R -o I) -o R",
+    "I -o R -o R",
+    "(R (x) R) -o R -o R",
+    "((R -o R) (x) R) -o R -o R",
+    "R -o (R -o R) (x) R",
+    "(R -o R -o R) -o R",
+    "(R -o (R (x) R)) -o R",
+    "R (x) I -o R",
+    "(I (x) I) -o R",
+)
 
 READBACK_POINTS = (-7.5, -1.0, 0.0, 0.25, 3.0, BOTTOM)
 
@@ -393,8 +437,8 @@ def readback(v):
     return v
 
 
-def battery_outputs_digest() -> str:
-    """One digest of every function sample of six types, for the default
+def battery_outputs_digest(types) -> str:
+    """One digest of every function sample of ``types``, for the default
     and the corpus registry at seeds 0 and 977, applied to the argument
     type's first 8 samples and to ``BOTTOM`` and written with ``repr``
     after ``readback``."""
@@ -402,14 +446,7 @@ def battery_outputs_digest() -> str:
     for reg in (default_registry(), corpus_registry()):
         for seed in (0, 977):
             battery = ProbeBattery(reg, seed=seed)
-            for text in (
-                "R -o R",
-                "R (x) R -o R",
-                "(R -o R) -o R",
-                "R -o R (x) R",
-                "R -o R -o R",
-                "I (x) R -o R",
-            ):
+            for text in types:
                 ty = parse_type(text)
                 args = [*battery.samples(ty.arg)[:8], BOTTOM]
                 for f in battery.samples(ty):
@@ -418,4 +455,8 @@ def battery_outputs_digest() -> str:
 
 
 def test_battery_outputs_are_bit_identical():
-    assert battery_outputs_digest() == BATTERY_OUTPUTS_DIGEST
+    assert battery_outputs_digest(BATTERY_TYPES) == BATTERY_OUTPUTS_DIGEST
+
+
+def test_battery_template_outputs_are_bit_identical():
+    assert battery_outputs_digest(TEMPLATE_TYPES) == TEMPLATE_OUTPUTS_DIGEST
