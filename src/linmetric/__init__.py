@@ -11,14 +11,12 @@ from .core import (
     Env,
     EMPTY_ENV,
     DistInterval,
-    Polarity,
     SymbolRegistry,
     default_registry,
     env_of,
     parse_env,
     parse_term,
     parse_type,
-    polarity,
     print_term,
     print_type,
     typecheck,
@@ -33,8 +31,6 @@ from .metrics import (
     admissibility_suite,
     check_qderivation,
     equ_upper_bound,
-    log_distance_observable,
-    log_relate,
     obs_lower_bound,
     ordering_report,
 )
@@ -43,14 +39,12 @@ __all__ = [
     "Env",
     "EMPTY_ENV",
     "DistInterval",
-    "Polarity",
     "SymbolRegistry",
     "default_registry",
     "env_of",
     "parse_env",
     "parse_term",
     "parse_type",
-    "polarity",
     "print_term",
     "print_type",
     "typecheck",
@@ -75,8 +69,6 @@ __all__ = [
     "admissibility_suite",
     "check_qderivation",
     "equ_upper_bound",
-    "log_distance_observable",
-    "log_relate",
     "obs_lower_bound",
     "ordering_report",
 ]

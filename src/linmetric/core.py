@@ -606,36 +606,7 @@ def search(scored: Iterable, stop: float = INF, best: float = 0.0, witness=None)
 
 
 # ---------------------------------------------------------------------------
-# Polarity
-
-@dataclass(frozen=True)
-class Polarity:
-    plus: int
-    minus: int
-
-    def __add__(self, other: "Polarity") -> "Polarity":
-        return Polarity(self.plus + other.plus, self.minus + other.minus)
-
-
-def type_polarity(t: Ty) -> Polarity:
-    """Counts of positive/negative atomic occurrences; R and I both count."""
-    if isinstance(t, (TReal, TUnit)):
-        return Polarity(1, 0)
-    if isinstance(t, TTensor):
-        l, r = type_polarity(t.left), type_polarity(t.right)
-        return Polarity(l.plus + r.plus, l.minus + r.minus)
-    if isinstance(t, TLolli):
-        a, r = type_polarity(t.arg), type_polarity(t.res)
-        return Polarity(a.minus + r.plus, a.plus + r.minus)
-    raise AssertionError(t)
-
-
-def polarity(types: Iterable[Ty]) -> Polarity:
-    out = Polarity(0, 0)
-    for t in types:
-        out = out + type_polarity(t)
-    return out
-
+# Wire atoms
 
 def pos_atoms(t: Ty) -> tuple[str, ...]:
     """Positive atomic occurrences left to right, each 'R' or 'I'."""

@@ -51,7 +51,6 @@ from .core import (
     TypeError_,
     Var,
     check_context,
-    const_paths,
     default_registry,
     is_observable,
     plug,
@@ -59,11 +58,10 @@ from .core import (
     print_type,
     replace_at,
     search,
-    subterm_at,
     typecheck,
 )
 from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate, is_beta_normal, literal_diffs
-from .semden import ProbeBattery, den_distance, ground_l1
+from .semden import DEN_DEPTH, ProbeBattery, den_distance
 from .semint import int_distance
 
 
@@ -234,98 +232,6 @@ def equ_upper_bound(
         cert = Trans(cert, Eq0(env, ty, cn, n))
     r = sum(abs(a - b) for _, a, b in diffs)
     return r, cert
-
-
-# ---------------------------------------------------------------------------
-# Metric logical relations
-
-
-def log_relate(
-    v: Term,
-    u: Term,
-    ty: Ty,
-    r: float,
-    depth: int = 2,
-    registry: Optional[SymbolRegistry] = None,
-    witness: Optional[list] = None,
-) -> str:
-    """Tri-state logical relation test: 'holds' | 'fails' | 'unknown'.
-
-    Exact (hence definitive) at observable types.  At function types the
-    universally quantified clause is probed with finitely many argument
-    pairs: a counterexample is definitive (appended to ``witness`` if a
-    list is supplied), absence of one is not.
-    """
-    registry = registry if registry is not None else default_registry()
-    if is_observable(ty):
-        d = ground_l1(evaluate(v, registry), evaluate(u, registry), ty)
-        if d <= r + EPS:
-            return "holds"
-        if witness is not None:
-            witness.append(("observable", v, u, d, r))
-        return "fails"
-    if r == INF:
-        return "unknown"
-    if isinstance(ty, TTensor):
-        vv, uu = evaluate(v, registry), evaluate(u, registry)
-        obs = _observable_l1(vv, uu, ty)
-        if obs > r + EPS:
-            if witness is not None:
-                witness.append(("observable-part", vv, uu, obs, r))
-            return "fails"
-        for comp_v, comp_u, comp_ty in _function_components(vv, uu, ty):
-            sub = log_relate(comp_v, comp_u, comp_ty, r - obs, depth, registry, witness)
-            if sub == "fails":
-                return "fails"
-        return "unknown"
-    if isinstance(ty, TLolli):
-        if depth <= 0:
-            return "unknown"
-        vv, uu = evaluate(v, registry), evaluate(u, registry)
-        if not (isinstance(vv, Lam) and isinstance(uu, Lam)):
-            return "unknown"
-        for arg_v, arg_u, s in _argument_pairs(ty.arg, registry):
-            body_v = App(vv, arg_v)
-            body_u = App(uu, arg_u)
-            sub = log_relate(body_v, body_u, ty.res, r + s, depth - 1, registry, witness)
-            if sub == "fails":
-                if witness is not None:
-                    witness.append(("argument-pair", arg_v, arg_u, s))
-                return "fails"
-        return "unknown"
-    raise AssertionError(ty)
-
-
-def _function_components(v: Term, u: Term, ty: Ty):
-    if isinstance(ty, TLolli):
-        yield v, u, ty
-    elif isinstance(ty, TTensor):
-        yield from _function_components(v.left, u.left, ty.left)
-        yield from _function_components(v.right, u.right, ty.right)
-
-
-def _argument_pairs(ty: Ty, registry: SymbolRegistry):
-    """Finitely many (V, U, s) with V and U provably within distance s."""
-    values = probe_values(ty, registry)
-    for v in values:
-        yield v, v, 0.0
-    # literal-perturbed pairs: distance certified by the literal gap
-    for v in values[:4]:
-        lits = const_paths(v)
-        if lits:
-            a = subterm_at(v, lits[0]).value
-            for delta in (0.5, 2.0):
-                yield v, replace_at(v, lits[0], Const(a + delta)), delta + 1e-12
-
-
-def log_distance_observable(
-    m: Term, n: Term, ty: Ty, registry: Optional[SymbolRegistry] = None
-) -> float:
-    """Exact logical distance for closed terms of observable type."""
-    registry = registry if registry is not None else default_registry()
-    if not is_observable(ty):
-        raise TypeError_("type is not observable; use obs_lower_bound instead")
-    return ground_l1(evaluate(m, registry), evaluate(n, registry), ty)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +462,7 @@ class EngineConfig:
     registry: SymbolRegistry
     battery: ProbeBattery
     budget: ObsBudget = field(default_factory=ObsBudget)
-    depth: int = 2
+    depth: int = DEN_DEPTH
 
     @staticmethod
     def make(registry: Optional[SymbolRegistry] = None, seed: int = 0) -> "EngineConfig":

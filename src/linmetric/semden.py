@@ -437,14 +437,13 @@ class ProbeBattery:
             out.append(self._compiled(Lam("x", ty.arg, STAR))())
         elif isinstance(ty.res, TTensor):
             # one active component at a time keeps the map non-expansive
-            if isinstance(ty.res.left, TReal):
-                pair = self._compiled(Lam("x", ty.arg, Pair(App(_H, _X), _V)), "h", "v")
-                hs = self._real_probes(ty.arg, FN_DEPTH)[:4]
-                out += [pair(h, w) for h in hs for w in self.samples(ty.res.right)[:2]]
-            if isinstance(ty.res.right, TReal):
-                pair = self._compiled(Lam("x", ty.arg, Pair(_V, App(_H, _X))), "h", "v")
-                hs = self._real_probes(ty.arg, FN_DEPTH)[:4]
-                out += [pair(h, w) for h in hs for w in self.samples(ty.res.left)[:2]]
+            left, right = ty.res.left, ty.res.right
+            active = [(Pair(App(_H, _X), _V), right)] if isinstance(left, TReal) else []
+            active += [(Pair(_V, App(_H, _X)), left)] if isinstance(right, TReal) else []
+            hs = self._real_probes(ty.arg, FN_DEPTH)[:4] if active else []
+            for body, passive in active:
+                pair = self._compiled(Lam("x", ty.arg, body), "h", "v")
+                out += [pair(h, w) for h in hs for w in self.samples(passive)[:2]]
         elif isinstance(ty.res, TLolli) and isinstance(ty.res.res, TReal):
             # x |-> (y |-> f(h(x), g(y))): non-expansive in each stage, and
             # λ-hoisting runs h x once per x
@@ -463,6 +462,9 @@ class ProbeBattery:
 
 # ---------------------------------------------------------------------------
 # Distance engine
+
+# how many arguments den applies to a function value before it reads 0
+DEN_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -503,7 +505,7 @@ def den_distance(
     m: Term,
     n: Term,
     battery: Optional[ProbeBattery] = None,
-    depth: int = 2,
+    depth: int = DEN_DEPTH,
     upper_bound: float = INF,
     registry: Optional[SymbolRegistry] = None,
 ) -> DistInterval:
@@ -548,7 +550,7 @@ def replay_lo(
     n: Term,
     witness: LoWitness,
     battery: ProbeBattery,
-    depth: int = 2,
+    depth: int = DEN_DEPTH,
     registry: Optional[SymbolRegistry] = None,
 ) -> float:
     """Recompute the distance achieved by a stored witness point."""

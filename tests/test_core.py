@@ -38,19 +38,19 @@ from linmetric.core import (
     derive,
     env_of,
     free_vars,
+    neg_atoms,
     parse_env,
     parse_term,
     parse_type,
     paths,
     plug,
-    polarity,
+    pos_atoms,
     print_term,
     print_type,
     replace_at,
     search,
     subterm_at,
     typecheck,
-    type_polarity,
 )
 from linmetric.gen import corpus_registry, gen_feasible_pair_site, gen_term, mutate, typed_pair_corpus
 
@@ -390,28 +390,28 @@ def test_checker_on_generated_terms(rng):
 # -- polarity ---------------------------------------------------------------
 
 
+def _polarity(types):
+    return sum(len(pos_atoms(t)) for t in types), sum(len(neg_atoms(t)) for t in types)
+
+
 def test_polarity_examples():
-    p = polarity([parse_type("R (x) R -o R")])
-    assert (p.plus, p.minus) == (1, 2)
-    p = polarity([])
-    assert (p.plus, p.minus) == (0, 0)
-    p = polarity([parse_type("R -o R")] * 3)
-    assert (p.plus, p.minus) == (3, 3)
+    assert _polarity([parse_type("R (x) R -o R")]) == (1, 2)
+    assert _polarity([]) == (0, 0)
+    assert _polarity([parse_type("R -o R")] * 3) == (3, 3)
 
 
 def test_polarity_unit_counts_like_real():
-    assert type_polarity(I).plus == 1
-    assert type_polarity(parse_type("R -o I")).plus == 1
-    assert type_polarity(parse_type("R -o I")).minus == 1
+    assert pos_atoms(I) == ("I",)
+    assert pos_atoms(parse_type("R -o I")) == ("I",)
+    assert neg_atoms(parse_type("R -o I")) == ("R",)
 
 
 def test_polarity_additive():
+    # a tensor's atoms are its parts' atoms, left to right
     ts = [parse_type("R -o R"), parse_type("R (x) I"), parse_type("(R -o R) -o R")]
-    total = polarity(ts)
-    split = polarity(ts[:1])
-    for t in ts[1:]:
-        split = split + type_polarity(t)
-    assert total == split
+    whole = TTensor(ts[0], TTensor(ts[1], ts[2]))
+    assert pos_atoms(whole) == sum((pos_atoms(t) for t in ts), ())
+    assert neg_atoms(whole) == sum((neg_atoms(t) for t in ts), ())
 
 
 # -- positions and contexts --------------------------------------------------

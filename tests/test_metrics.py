@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 import math
 
 import pytest
 
 from linmetric.core import (
     Const,
+    DistInterval,
     EMPTY_ENV,
+    EPS,
     FnApp,
     HOLE,
     I,
@@ -15,32 +19,36 @@ from linmetric.core import (
     TLolli,
     TypeError_,
     Var,
+    default_registry,
     env_of,
     parse_env,
     parse_term,
     parse_type,
     plug,
     print_term,
+    print_type,
     typecheck,
 )
 from linmetric.dynamics import eq_decide, evaluate
+from linmetric.gen import corpus_registry
 from linmetric.metrics import (
+    APPLY_DEPTH,
     CertificateError,
     ConstAxiom,
     CtxRule,
+    ENGINES,
     EngineConfig,
     Eq0,
     ObsBudget,
     SymRule,
     Trans,
+    _elaborations,
     admissibility_suite,
     check_qderivation,
     den_engine,
     equ_engine,
     equ_upper_bound,
     int_engine,
-    log_distance_observable,
-    log_relate,
     obs_lower_bound,
     ordering_report,
     probe_values,
@@ -58,60 +66,6 @@ def ma_term(a: float):
 
 
 MA_TYPE = parse_type("R (x) R (x) ((R (x) R -o R) -o R)")
-
-
-# -- logical relation --------------------------------------------------------
-
-
-def test_log_relate_reals():
-    assert log_relate(Const(0.0), Const(1.0), R, 1.0) == "holds"
-    assert log_relate(Const(0.0), Const(1.0), R, 0.5) == "fails"
-
-
-def test_log_relate_unit():
-    from linmetric.core import STAR
-
-    assert log_relate(STAR, STAR, I, 0.0) == "holds"
-
-
-def test_log_relate_pairs():
-    v = parse_term("0.0 * 1.0")
-    u = parse_term("1.0 * 3.0")
-    assert log_relate(v, u, TTensor(R, R), 2.9) == "fails"
-    assert log_relate(v, u, TTensor(R, R), 3.0) == "holds"
-
-
-def test_log_relate_functions_counterexample():
-    m = parse_term(r"\x:R. x")
-    n = parse_term(r"\x:R. add(x, 5.0)")
-    assert log_relate(m, n, TLolli(R, R), 1.0) == "fails"
-
-
-def test_log_relate_functions_unknown():
-    m = parse_term(r"\x:R. x")
-    assert log_relate(m, m, TLolli(R, R), 0.0) == "unknown"
-
-
-def test_log_relate_tensor_with_a_function_component():
-    ty = TTensor(R, TLolli(R, R))
-    v = parse_term(r"1.0 * (\z:R. z)")
-    u = parse_term(r"1.5 * (\z:R. add(z, 1.0))")
-    witness = []
-    # the reals are 0.5 apart, so the functions get 0.1 and are 1.0 apart
-    assert log_relate(v, u, ty, 0.6, witness=witness) == "fails"
-    assert [w[0] for w in witness] == ["observable", "argument-pair"]
-    witness = []
-    assert log_relate(v, u, ty, 0.2, witness=witness) == "fails"
-    assert [w[0] for w in witness] == ["observable-part"]
-
-
-def test_log_distance_observable():
-    assert log_distance_observable(parse_term("2.0"), parse_term("3.0"), R) == 1.0
-    prefix_m = parse_term("0.0 * 0.0")
-    prefix_n = parse_term("1.0 * 1.0")
-    assert log_distance_observable(prefix_m, prefix_n, TTensor(R, R)) == 2.0
-    with pytest.raises(TypeError_):
-        log_distance_observable(parse_term(r"\x:R. x"), parse_term(r"\x:R. x"), TLolli(R, R))
 
 
 # -- observational lower bounds ------------------------------------------------
@@ -137,6 +91,13 @@ def test_replay_is_false_where_no_context_evaluates():
     assert replay_obs_witness(w, m, n) is False
 
 
+def test_replay_is_false_where_one_side_differs():
+    m, n = parse_term("k 0.0"), parse_term("k 1.0")
+    _, w = obs_lower_bound(parse_env("k:R -o R"), R, m, n)
+    assert not replay_obs_witness(w, m, parse_term("k 2.0"))
+    assert not replay_obs_witness(w, parse_term("k 2.0"), n)
+
+
 def test_obs_equal_terms():
     m = parse_term("sin(1.0)")
     lo, _ = obs_lower_bound(EMPTY_ENV, R, m, m)
@@ -149,6 +110,25 @@ def test_obs_function_type_applied():
     ty = parse_type("(R -o R) -o R")
     lo, _ = obs_lower_bound(EMPTY_ENV, ty, m, n)
     assert lo >= 1.0
+
+
+def test_obs_closes_a_third_order_variable():
+    # k's probes apply their argument to probes of R -o R
+    env = parse_env("k:((R -o R) -o R) -o R")
+    m, n = parse_term(r"k (\f:(R -o R). f 0.0)"), parse_term(r"k (\f:(R -o R). f 1.0)")
+    lo, _ = obs_lower_bound(env, R, m, n)
+    assert lo == 1.0
+
+
+def test_obs_applies_two_arguments():
+    # the maps differ only after their third argument
+    ty = parse_type("R -o R -o R -o R")
+    m = r"(\x:R. \y:R. \z:R. add(add(x, y), z))"
+    n = r"(\x:R. \y:R. \z:R. add(add(x, y), add(z, 1.0)))"
+    lo, _ = obs_lower_bound(EMPTY_ENV, ty, parse_term(m), parse_term(n))
+    assert lo == 0.0
+    lo, _ = obs_lower_bound(EMPTY_ENV, R, parse_term(m + " 0.0 0.0 0.0"), parse_term(n + " 0.0 0.0 0.0"))
+    assert lo == 1.0
 
 
 def test_obs_unit_codomain_blind():
@@ -192,6 +172,36 @@ def test_probe_values_consume_unit_sources(tname, want):
     got = probe_values(ty, CFG.registry)
     assert [print_term(v) for v in got] == want
     assert all(typecheck(EMPTY_ENV, v, CFG.registry) == ty for v in got)
+
+
+def _types(connectives: int) -> list:
+    """Every type over R and I with exactly this many connectives."""
+    if connectives == 0:
+        return [R, I]
+    return [
+        form(a, b)
+        for k in range(connectives)
+        for a in _types(k)
+        for b in _types(connectives - 1 - k)
+        for form in (TTensor, TLolli)
+    ]
+
+
+# blake2b of probe_values and of the first 300 obs contexts of every type
+# with up to four connectives, in both registries: a depth, slice or literal
+# of _probe_values, _consumers or _elaborations that changes what obs tries
+# changes it
+OBS_PROBES_DIGEST = "8d65f79767d08bc79e3f0d6fb1ad4244"
+
+
+def test_obs_probes_and_contexts_are_bit_identical():
+    digest = hashlib.blake2b(digest_size=16)
+    for reg in (default_registry(), corpus_registry()):
+        for ty in (t for n in range(5) for t in _types(n)):
+            digest.update(repr([print_term(v) for v in probe_values(ty, reg)]).encode())
+            contexts = itertools.islice(_elaborations(HOLE, ty, reg, ObsBudget(), APPLY_DEPTH), 300)
+            digest.update(repr([(print_term(c), print_type(t)) for c, t in contexts]).encode())
+    assert digest.hexdigest() == OBS_PROBES_DIGEST
 
 
 # -- equational upper bounds -----------------------------------------------------
@@ -487,13 +497,23 @@ def test_admissibility_small(engine):
     assert rep.checks == 7
 
 
-def test_log_relate_records_counterexample():
-    m = parse_term(r"\x:R. x")
-    n = parse_term(r"\x:R. add(x, 5.0)")
-    seen = []
-    assert log_relate(m, n, TLolli(R, R), 1.0, witness=seen) == "fails"
-    assert seen, "counterexample should be stored"
-    assert seen[-1][0] == "argument-pair"
+def test_admissibility_allows_an_error_of_eps(monkeypatch):
+    # an engine off by exactly EPS, where m is an application, passes every check
+    def engine(env, ty, m, n, cfg):
+        r = EPS if isinstance(m, FnApp) else 0.0
+        return DistInterval(r, r)
+
+    monkeypatch.setitem(ENGINES, "off-by-eps", engine)
+    zero = Const(0.0)
+    corpus = {
+        "constants": [(0.0, EPS)],
+        "tensor_prefixes": [(EMPTY_ENV, R, zero, zero, EPS)],
+        "contexts": [(EMPTY_ENV, R, zero, zero, parse_term("add([-], 0.0)"), EMPTY_ENV, R)],
+        "equal_pairs": [(EMPTY_ENV, R, parse_term("add(2.0, 3.0)"), Const(5.0))],
+    }
+    rep = admissibility_suite("off-by-eps", corpus, CFG)
+    assert rep.ok, rep.violations
+    assert rep.checks == 4
 
 
 def test_extreal_and_interval_semantics():
@@ -508,11 +528,28 @@ def test_extreal_and_interval_semantics():
         DistInterval(2.0, 1.0)
 
 
+def test_ordering_report_defaults_to_the_seed_0_battery():
+    # den and int sample cos - sin at the battery's seeded reals
+    env = parse_env("x:R")
+    m, n = parse_term("cos(x)"), parse_term("sin(x)")
+    seed0, seed1 = (ordering_report(env, R, m, n, EngineConfig.make(seed=s)) for s in (0, 1))
+    assert seed0 != seed1
+    assert ordering_report(env, R, m, n) == seed0
+
+
 def test_check_qderivation_rejects_env_mismatch_trans():
     env = parse_env("k:R -o R")
     left = CtxRule(parse_term("k [-]"), env, R, ConstAxiom(2.0, 3.0, 1.0))
     right = ConstAxiom(3.0, 4.0, 1.0)
     with pytest.raises(CertificateError):
+        check_qderivation(Trans(left, right))
+
+
+def test_check_qderivation_rejects_trans_whose_endpoints_meet_in_another_env():
+    # the same term at the same type, but x and k's argument are R on the left and I on the right
+    left = Eq0(parse_env("k:R -o R, x:R"), R, parse_term("k x"), parse_term("k x"))
+    right = Eq0(parse_env("k:I -o R, x:I"), R, parse_term("k x"), parse_term("k x"))
+    with pytest.raises(CertificateError, match="different judgments"):
         check_qderivation(Trans(left, right))
 
 

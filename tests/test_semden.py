@@ -306,6 +306,19 @@ def test_den_distance_witness_replays():
     assert replay_lo(EMPTY_ENV, ty, m, n, d.lo_witness, BATTERY) == d.lo
 
 
+def test_den_distance_applies_two_arguments_by_default():
+    # the maps differ only after their third argument
+    ty = parse_type("R -o R -o R -o R")
+    m = parse_term(r"\x:R. \y:R. \z:R. add(add(x, y), z)")
+    n = parse_term(r"\x:R. \y:R. \z:R. add(add(x, y), add(z, 1.0))")
+    assert den_distance(EMPTY_ENV, ty, m, n, BATTERY).lo == 0.0
+    d = den_distance(EMPTY_ENV, ty, m, n, BATTERY, depth=3)
+    assert d.lo == pytest.approx(1.0)
+    # a witness replays only at the depth that found it
+    assert replay_lo(EMPTY_ENV, ty, m, n, d.lo_witness, BATTERY) == 0.0
+    assert replay_lo(EMPTY_ENV, ty, m, n, d.lo_witness, BATTERY, depth=3) == d.lo
+
+
 def test_den_distance_tensor_prefix_lower_bound():
     # distance on literal prefixes dominates the prefix L1 even with closure tails
     m = parse_term(r"1.0 * 2.0 * (\x:R. x)")

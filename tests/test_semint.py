@@ -19,6 +19,8 @@ from linmetric.core import (
     RegistryError,
     Symbol,
     SymbolRegistry,
+    TLolli,
+    TTensor,
     TypeError_,
     Var,
     default_registry,
@@ -943,8 +945,18 @@ def test_decompose_second_order_with_inner_symbol():
     )
 
 
+def _polarity(t):
+    """(positive, negative) atom counts of a type, counted without pos_atoms."""
+    if isinstance(t, TLolli):
+        a, r = _polarity(t.arg), _polarity(t.res)
+        return a[1] + r[0], a[0] + r[1]
+    if isinstance(t, TTensor):
+        l, r = _polarity(t.left), _polarity(t.right)
+        return l[0] + r[0], l[1] + r[1]
+    return 1, 0
+
+
 def test_wire_signature_agrees_with_polarity():
-    from linmetric.core import polarity
     from linmetric.gen import gen_type
 
     rng = random.Random(17)
@@ -953,10 +965,11 @@ def test_wire_signature_agrees_with_polarity():
         res = gen_type(rng, 2, rng.randint(1, 4))
         env = parse_env(", ".join(f"v{i}:{_ptype(t)}" for i, t in enumerate(tys)))
         sig = wire_signature(env, res)
-        p_env = polarity(tys)
-        p_res = polarity([res])
-        assert sig.m == p_env.plus + p_res.minus
-        assert sig.n == p_env.minus + p_res.plus
+        env_plus = sum(_polarity(t)[0] for t in tys)
+        env_minus = sum(_polarity(t)[1] for t in tys)
+        res_plus, res_minus = _polarity(res)
+        assert sig.m == env_plus + res_minus
+        assert sig.n == env_minus + res_plus
 
 
 def _ptype(t):
