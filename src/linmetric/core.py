@@ -330,14 +330,6 @@ def free_vars(t: Term) -> set[str]:
     return out
 
 
-def is_value(t: Term) -> bool:
-    if isinstance(t, (Const, Star, Lam)):
-        return True
-    if isinstance(t, Pair):
-        return is_value(t.left) and is_value(t.right)
-    return False
-
-
 def plug(ctx: Context, m: Term) -> Term:
     """Fill the hole, without capture avoidance: contexts bind on purpose."""
     if isinstance(ctx, Hole):

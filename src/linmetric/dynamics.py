@@ -19,7 +19,10 @@ rebuilds a node only when a child changed, so a pass that fires nowhere
 returns its input and unchanged subtrees are shared.  Before each round
 a read-only walk tries every root rule at every node; if none fires,
 the round is not run.  ``beta_normalize`` and the round loop compute
-their size bounds only after 8 steps.
+their size bounds only after 8 steps.  Given a list, both record each
+root rule that fires as a step at its position (``_record``), so that a
+checker can replay the rewriting without running it again
+(``metrics._eq_step``); a call given no list records nothing.
 ``eq_decide`` compares canonical forms up to alpha-renaming; it is sound
 but deliberately incomplete.
 """
@@ -50,6 +53,8 @@ from .core import (
     free_vars,
     print_term,
     rebuild,
+    replace_at,
+    subterm_at,
     term_size,
 )
 
@@ -207,6 +212,33 @@ def evaluate(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Rewrite traces
+
+
+# Given a list, a pass appends a step ``(rule, path, *extra)`` for each
+# root rule that fires: ``rule`` at the subterm at ``path`` of the whole
+# term as it then stood.  A pass records a step at its own node with the
+# empty path, and ``_under`` moves the steps a call recorded below child
+# ``i`` into the parent's frame, so only a step that fires gets a path.
+
+
+def _record(trace: Optional[list], rule: str, *extra) -> int:
+    """Record ``rule`` at the node; the number of steps recorded so far."""
+    if trace is None:
+        return 0
+    trace.append((rule, (), *extra))
+    return len(trace)
+
+
+def _under(trace: Optional[list], n: int, i: int) -> None:
+    """Put child position ``i`` in front of the paths of ``trace[n:]``."""
+    if trace is not None:
+        for k in range(n, len(trace)):
+            rule, path, *extra = trace[k]
+            trace[k] = (rule, (i,) + path, *extra)
+
+
+# ---------------------------------------------------------------------------
 # Normalization
 
 
@@ -218,34 +250,39 @@ def _contract(t: Term) -> Optional[Term]:
     if cls is LetStar and type(t.scrutinee) is Star:
         return t.body
     if cls is LetPair and type(t.scrutinee) is Pair:
-        body = substitute(t.body, t.var1, t.scrutinee.left)
-        return substitute(body, t.var2, t.scrutinee.right)
+        # var2 is bound by a λ while the left half goes in, so that a
+        # var2 free in the left half is not replaced by the right one
+        lam = substitute(Lam(t.var2, None, t.body), t.var1, t.scrutinee.left)
+        return substitute(lam.body, lam.var, t.scrutinee.right)
     return None
 
 
-def _step_normal_order(t: Term) -> Optional[Term]:
+def _step_normal_order(t: Term) -> Optional[tuple[tuple, Term]]:
+    """The leftmost-outermost redex of ``t`` as ``(path, contractum)``, or None."""
     contracted = _contract(t)
     if contracted is not None:
-        return contracted
-    kids = children(t)
-    for i, c in enumerate(kids):
-        stepped = _step_normal_order(c)
-        if stepped is not None:
-            out = list(kids)
-            out[i] = stepped
-            return rebuild(t, out)
+        return (), contracted
+    for i, c in enumerate(children(t)):
+        found = _step_normal_order(c)
+        if found is not None:
+            return (i,) + found[0], found[1]
     return None
 
 
-def beta_normalize(term: Term) -> Term:
+def beta_normalize(term: Term, trace: Optional[list] = None) -> Term:
     """Leftmost-outermost reduction to beta/let normal form; a normal
-    term is returned as it is."""
+    term is returned as it is.  Given a list, each contraction appends
+    its step (see ``_record``)."""
     steps, limit = 0, INF
     while True:
-        nxt = _step_normal_order(term)
-        if nxt is None:
+        found = _step_normal_order(term)
+        if found is None:
             return term
-        term = nxt
+        path, contracted = found
+        if trace is not None:
+            cls = type(subterm_at(term, path))
+            trace.append(("beta" if cls is App else "let*" if cls is LetStar else "let(x)", path))
+        term = replace_at(term, path, contracted)
         steps += 1
         if steps == 8:  # sized only from step 8: each later step shrinks it
             limit = steps + term_size(term)
@@ -317,27 +354,38 @@ def literal_diffs(
 # Canonical forms for the equational theory
 
 
-def _map_children(t: Term, f, *args) -> Term:
-    """``t`` with ``f(child, *args)`` for each child; ``t`` itself when
-    every child came back as the same object."""
+def _map_children(t: Term, f, trace: Optional[list], *args) -> Term:
+    """``t`` with ``f(child, *args)`` for each child, each child's steps
+    moved under its position; ``t`` itself when every child came back as
+    the same object."""
     old = children(t)
     if not old:
         return t
-    kids = [f(c, *args) for c in old]
+    if trace is None:
+        kids = [f(c, *args) for c in old]
+    else:
+        kids = []
+        for i, c in enumerate(old):
+            n = len(trace)
+            kids.append(f(c, *args, trace))
+            if len(trace) > n:
+                _under(trace, n, i)
     return t if all(map(operator.is_, kids, old)) else rebuild(t, kids)
 
 
-def _eta_contract(t: Term) -> Term:
-    return _eta_root(_map_children(t, _eta_contract))
+def _eta_contract(t: Term, trace: Optional[list] = None) -> Term:
+    return _eta_root(_map_children(t, _eta_contract, trace), trace)
 
 
-def _eta_root(t: Term) -> Term:
+def _eta_root(t: Term, trace: Optional[list] = None) -> Term:
     """``_eta_contract`` of a term whose children are contracted already."""
     if isinstance(t, Lam) and isinstance(t.body, App):
         arg = t.body.arg
         if isinstance(arg, Var) and arg.name == t.var and t.var not in free_vars(t.body.fn):
+            _record(trace, "eta-lam")
             return t.body.fn
     if isinstance(t, LetStar) and isinstance(t.body, Star):
+        _record(trace, "eta-let*")
         return t.scrutinee
     if isinstance(t, LetPair) and isinstance(t.body, Pair):
         l, r = t.body.left, t.body.right
@@ -348,19 +396,21 @@ def _eta_root(t: Term) -> Term:
             and r.name == t.var2
             and not ({t.var1, t.var2} & free_vars(t.scrutinee))
         ):
+            _record(trace, "eta-let(x)")
             return t.scrutinee
     return t
 
 
-def fold_literals(t: Term, registry: SymbolRegistry) -> Term:
+def fold_literals(t: Term, registry: SymbolRegistry, trace: Optional[list] = None) -> Term:
     """Evaluate symbol applications on all-literal arguments.
 
     Denotation-preserving, so distances over folded terms equal
     distances over the originals; folding aligns skeletons that differ
     only in evaluated sub-expressions.
     """
-    t = _map_children(t, fold_literals, registry)
+    t = _map_children(t, fold_literals, trace, registry)
     if _foldable(t):
+        _record(trace, "fold")
         return Const(registry.get(t.symbol)(*[a.value for a in t.args]))
     return t
 
@@ -401,7 +451,7 @@ def _rename_binders(binders, body: Term, clashes: set[str], avoid: set[str]):
     return tuple(out), body
 
 
-def _hoist_lets(t: Term) -> Term:
+def _hoist_lets(t: Term, trace: Optional[list] = None) -> Term:
     """Pull let bindings outward to a prenex chain under each lambda.
 
     Both orientations of the commuting conversions are derivable, so the
@@ -410,16 +460,18 @@ def _hoist_lets(t: Term) -> Term:
     extraction from an operator child shrinks the sum of let depths and
     leaves scrutinee sizes unchanged.
     """
-    return _hoist_root(_map_children(t, _hoist_lets))
+    return _hoist_root(_map_children(t, _hoist_lets, trace), trace)
 
 
-def _hoist_root(t: Term) -> Term:
+def _hoist_root(t: Term, trace: Optional[list] = None) -> Term:
     """``_hoist_lets`` of a term whose children are hoisted already: a
     lifted let's scrutinee and the subterms it moves stay fixpoints of
-    the pass, so only the new node under the let is fixed."""
-    if isinstance(t, Lam):
+    the pass, so only the new node under the let is fixed.  A step records
+    the binders' names after renaming."""
+    cls = type(t)
+    if cls is Lam:
         return t  # a let is never hoisted past a binder it may mention
-    if _is_let(t):
+    if cls is LetStar or cls is LetPair:
         binders, scrut, body = _let_parts(t)
         if _is_let(scrut):
             # let b = (let ib = s in ibody) in body
@@ -427,12 +479,15 @@ def _hoist_root(t: Term) -> Term:
             ib, iscrut, ibody = _let_parts(scrut)
             clashes = set(ib) & (free_vars(body) | set(binders))
             ib, ibody = _rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
-            return _make_let(ib, iscrut, _hoist_root(_make_let(binders, ibody, body)))
+            n = _record(trace, "commute-let", ib)
+            inner = _hoist_root(_make_let(binders, ibody, body), trace)
+            _under(trace, n, 1)
+            return _make_let(ib, iscrut, inner)
         return t
     # float a let out of an immediate child of an operator node
     kids = children(t)
     for i, c in enumerate(kids):
-        if _is_let(c):
+        if type(c) is LetStar or type(c) is LetPair:
             binders, scrut, body = _let_parts(c)
             sibling_fv: set[str] = set()
             for j, k in enumerate(kids):
@@ -442,14 +497,17 @@ def _hoist_root(t: Term) -> Term:
             binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
             kids_new = list(kids)
             kids_new[i] = body
-            return _make_let(binders, scrut, _hoist_root(rebuild(t, kids_new)))
+            n = _record(trace, "commute-op", i, binders)
+            inner = _hoist_root(rebuild(t, kids_new), trace)
+            _under(trace, n, 1)
+            return _make_let(binders, scrut, inner)
     return t
 
 
 def _mask_literals(t: Term) -> Term:
     if isinstance(t, Const):
         return Const(0.0)
-    return _map_children(t, _mask_literals)
+    return _map_children(t, _mask_literals, None)
 
 
 def _let_sort_key(t: Term) -> tuple[str, str]:
@@ -459,21 +517,23 @@ def _let_sort_key(t: Term) -> tuple[str, str]:
     return print_term(_mask_literals(scrut)), print_term(scrut)
 
 
-def _sort_lets(t: Term) -> Term:
-    return _sort_root(_map_children(t, _sort_lets))
+def _sort_lets(t: Term, trace: Optional[list] = None) -> Term:
+    return _sort_root(_map_children(t, _sort_lets, trace), trace)
 
 
-def _sort_root(t: Term) -> Term:
+def _sort_root(t: Term, trace: Optional[list] = None) -> Term:
     """``_sort_lets`` of a term whose children are sorted already."""
     changed = True
     while changed:
         changed = False
-        if _is_let(t) and _is_let(_let_parts(t)[2]):
+        if _is_let(t) and _is_let(t.body):
             b1, s1, inner = _let_parts(t)
             b2, s2, body = _let_parts(inner)
             independent = not (set(b1) & free_vars(s2)) and not (set(b2) & free_vars(s1))
             if independent and _let_sort_key(inner) < _let_sort_key(t):
-                t = _make_let(b2, s2, _sort_root(_make_let(b1, s1, body)))
+                n = _record(trace, "swap")
+                t = _make_let(b2, s2, _sort_root(_make_let(b1, s1, body), trace))
+                _under(trace, n, 1)
                 changed = True
     return t
 
@@ -495,21 +555,25 @@ def _fixed(t: Term) -> bool:
     )
 
 
-def eq_canonical(term: Term, registry: Optional[SymbolRegistry] = None) -> Term:
+def eq_canonical(
+    term: Term, registry: Optional[SymbolRegistry] = None, trace: Optional[list] = None
+) -> Term:
     """Canonical representative; every rewrite step is derivable.  The
-    rounds stop once ``_fixed`` finds that the next would change nothing."""
+    rounds stop once ``_fixed`` finds that the next would change nothing.
+    Given a list, each root rule that fires appends its step (see
+    ``_record``), so that replaying them from ``term`` reaches the result."""
     registry = registry if registry is not None else default_registry()
-    t = beta_normalize(term)
+    t = beta_normalize(term, trace)
     for rounds in itertools.count(1):
         if _fixed(t):
             break
         # order lets before eta-contraction can dissolve a chain, so that
         # permuted chains reach the same representative
-        t2 = _hoist_lets(t)
-        t2 = _sort_lets(t2)
-        t2 = _eta_contract(t2)
-        t2 = fold_literals(t2, registry)
-        t2 = beta_normalize(t2)
+        t2 = _hoist_lets(t, trace)
+        t2 = _sort_lets(t2, trace)
+        t2 = _eta_contract(t2, trace)
+        t2 = fold_literals(t2, registry, trace)
+        t2 = beta_normalize(t2, trace)
         if t2 == t:
             break
         t = t2

@@ -8,7 +8,9 @@ Four engines bound the distance between two typed terms:
 * the denotational and interactive engines live in ``semden``/``semint``
   and report enclosures;
 * ``equ_upper_bound`` synthesizes a quantitative derivation whose bound
-  is a sound upper bound for every admissible metric.
+  is a sound upper bound for every admissible metric.  Its ``Eq0``
+  nodes carry the rewrite steps ``eq_canonical`` recorded, and
+  ``check_qderivation`` replays them with its own check of each rule.
 
 ``ordering_report`` runs them all and asserts the interval-consistency
 chain obs ≤ den ≤ int ≤ equ that the theory predicts.
@@ -41,6 +43,7 @@ from .core import (
     R,
     RegistryError,
     STAR,
+    Star,
     SymbolRegistry,
     Term,
     TLolli,
@@ -51,16 +54,31 @@ from .core import (
     TypeError_,
     Var,
     check_context,
+    children,
     default_registry,
+    free_vars,
     is_observable,
     plug,
     print_term,
     print_type,
+    rebuild,
     replace_at,
     search,
+    subterm_at,
     typecheck,
 )
-from .dynamics import alpha_eq, eq_canonical, eq_decide, evaluate, is_beta_normal, literal_diffs
+from .dynamics import (
+    _is_let,
+    _let_parts,
+    _make_let,
+    alpha_eq,
+    eq_canonical,
+    eq_decide,
+    evaluate,
+    is_beta_normal,
+    literal_diffs,
+    substitute,
+)
 from .semden import DEN_DEPTH, ProbeBattery, den_distance
 from .semint import int_distance
 
@@ -89,12 +107,16 @@ class Judgment:
 
 @dataclass(frozen=True)
 class Eq0(QDerivation):
-    """Zero distance from a derivable equality (validated by eq_decide)."""
+    """Zero distance from a derivable equality: each side's rewrite steps,
+    as ``eq_canonical`` records them, lead the two sides to terms equal up
+    to bound names.  The checker replays the steps (``_eq_step``)."""
 
     env: Env
     ty: Ty
     lhs: Term
     rhs: Term
+    lhs_steps: tuple = ()
+    rhs_steps: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,93 @@ class CtxRule(QDerivation):
     sub: QDerivation
 
 
+def _renamed(binders: tuple, names, body: Term, avoid: set) -> Optional[Term]:
+    """``body`` with each of ``binders`` renamed to the name at its place
+    in ``names``, or None unless the new names are distinct, meet none of
+    ``avoid``, and each changed one is fresh for ``body`` and ``binders``."""
+    if type(names) is not tuple or len(names) != len(binders) or any(type(v) is not str for v in names):
+        return None
+    if len(set(names)) != len(names) or set(names) & avoid:
+        return None
+    fv = free_vars(body)
+    for v, nv in zip(binders, names):
+        if nv != v:
+            if nv in fv or nv in binders:
+                return None
+            body = substitute(body, v, Var(nv))
+    return body
+
+
+def _eq_step(rule, t: Term, extra: tuple, registry: SymbolRegistry) -> Optional[Term]:
+    """``t`` rewritten at its root by one recorded step of ``eq_canonical``,
+    or None where ``t`` does not have the rule's shape or fails its side
+    condition.  Each rule is checked here, from the term alone."""
+    cls = type(t)
+    if rule == "commute-op" and len(extra) == 2 and cls in (App, FnApp, Pair):
+        # op(.., let b = s in body, ..) -> let b = s in op(.., body, ..)
+        i, names = extra
+        kids = children(t)
+        if type(i) is not int or not 0 <= i < len(kids) or not _is_let(kids[i]):
+            return None
+        binders, scrut, body = _let_parts(kids[i])
+        siblings = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
+        body = _renamed(binders, names, body, siblings)
+        if body is None:
+            return None
+        return _make_let(names, scrut, rebuild(t, kids[:i] + (body,) + kids[i + 1 :]))
+    if rule == "commute-let" and len(extra) == 1 and _is_let(t) and _is_let(t.scrutinee):
+        # let b = (let ib = s in ibody) in body -> let ib = s in (let b = ibody in body)
+        binders, scrut, body = _let_parts(t)
+        ib, iscrut, ibody = _let_parts(scrut)
+        ibody = _renamed(ib, extra[0], ibody, free_vars(body) | set(binders))
+        if ibody is None:
+            return None
+        return _make_let(extra[0], iscrut, _make_let(binders, ibody, body))
+    if extra:
+        return None
+    if rule == "beta" and cls is App and type(t.fn) is Lam:
+        return substitute(t.fn.body, t.fn.var, t.arg)
+    if rule == "let*" and cls is LetStar and type(t.scrutinee) is Star:
+        return t.body
+    if rule == "let(x)" and cls is LetPair and type(t.scrutinee) is Pair:
+        # both halves at once: as two betas, so var2 captures nothing in the left half
+        lam = substitute(Lam(t.var2, None, t.body), t.var1, t.scrutinee.left)
+        return substitute(lam.body, lam.var, t.scrutinee.right)
+    if rule == "eta-lam" and cls is Lam and type(t.body) is App:
+        if t.body.arg == Var(t.var) and t.var not in free_vars(t.body.fn):
+            return t.body.fn
+    if rule == "eta-let*" and cls is LetStar and type(t.body) is Star:
+        return t.scrutinee
+    if rule == "eta-let(x)" and cls is LetPair and t.body == Pair(Var(t.var1), Var(t.var2)):
+        if not ({t.var1, t.var2} & free_vars(t.scrutinee)):
+            return t.scrutinee
+    if rule == "fold" and cls is FnApp and all(type(a) is Const for a in t.args):
+        return Const(registry.get(t.symbol)(*[a.value for a in t.args]))
+    if rule == "swap" and _is_let(t) and _is_let(t.body):
+        # let b1 = s1 in let b2 = s2 in body -> let b2 = s2 in let b1 = s1 in body
+        b1, s1, inner = _let_parts(t)
+        b2, s2, body = _let_parts(inner)
+        if not (set(b1) & (free_vars(s2) | set(b2))) and not (set(b2) & free_vars(s1)):
+            return _make_let(b2, s2, _make_let(b1, s1, body))
+    return None
+
+
+def _replay(t: Term, steps, registry: SymbolRegistry, side: str, path: str) -> Term:
+    """``t`` rewritten by each of ``steps`` in turn, each at its position."""
+    for k, step in enumerate(steps):
+        sub = None
+        if type(step) is tuple and len(step) > 1 and type(step[1]) is tuple:
+            try:
+                sub = subterm_at(t, step[1])
+            except (IndexError, TypeError):  # no position in ``t``
+                pass
+        new = None if sub is None else _eq_step(step[0], sub, step[2:], registry)
+        if new is None:
+            raise CertificateError(f"{path}: Eq0 {side} step {k} does not apply: {step!r}")
+        t = replace_at(t, step[1], new)
+    return t
+
+
 def _check_node(d: QDerivation, registry: SymbolRegistry, path: str) -> Judgment:
     if isinstance(d, Eq0):
         try:
@@ -133,10 +242,12 @@ def _check_node(d: QDerivation, registry: SymbolRegistry, path: str) -> Judgment
         if t1 != d.ty or t2 != d.ty:
             raise CertificateError(f"{path}: Eq0 sides do not have the stated type")
         try:
-            if not eq_decide(d.lhs, d.rhs, registry):
-                raise CertificateError(f"{path}: Eq0 on terms not provably equal")
+            lhs = _replay(d.lhs, d.lhs_steps, registry, "lhs", path)
+            rhs = _replay(d.rhs, d.rhs_steps, registry, "rhs", path)
         except EvalError as e:
             raise CertificateError(f"{path}: Eq0 side does not fold: {e}") from None
+        if not alpha_eq(lhs, rhs):
+            raise CertificateError(f"{path}: Eq0 on terms not provably equal")
         return Judgment(d.env, d.ty, d.lhs, d.rhs, 0.0)
     if isinstance(d, ConstAxiom):
         if abs(d.a - d.b) > d.r + EPS:
@@ -209,11 +320,13 @@ def equ_upper_bound(
     registry = registry if registry is not None else default_registry()
     if typecheck(env, m, registry) != ty or typecheck(env, n, registry) != ty:
         raise TypeError_("equ_upper_bound: terms do not have the stated type")
-    cm = eq_canonical(m, registry)
-    cn = eq_canonical(n, registry)
+    m_steps: list = []
+    n_steps: list = []
+    cm = eq_canonical(m, registry, m_steps)
+    cn = eq_canonical(n, registry, n_steps)
     diffs = literal_diffs(cm, cn)
     if diffs == []:  # alpha_eq(cm, cn)
-        return 0.0, Eq0(env, ty, m, n)
+        return 0.0, Eq0(env, ty, m, n, tuple(m_steps), tuple(n_steps))
     if diffs is None or any(isinstance(a, str) for _, a, _ in diffs):
         return INF, None
     steps: list[QDerivation] = []
@@ -227,9 +340,9 @@ def equ_upper_bound(
         chain = Trans(chain, s)
     cert: QDerivation = chain
     if not alpha_eq(m, cm):
-        cert = Trans(Eq0(env, ty, m, cm), cert)
+        cert = Trans(Eq0(env, ty, m, cm, tuple(m_steps)), cert)
     if not alpha_eq(cn, n):
-        cert = Trans(cert, Eq0(env, ty, cn, n))
+        cert = Trans(cert, Eq0(env, ty, cn, n, (), tuple(n_steps)))
     r = sum(abs(a - b) for _, a, b in diffs)
     return r, cert
 

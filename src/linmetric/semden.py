@@ -347,11 +347,17 @@ class ProbeBattery:
         rng = random.Random(seed)
         self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]
         self._cache: dict[Ty, list[Value]] = {}
+        self._codes: dict[tuple, Callable[[tuple], Value]] = {}
 
     def _compiled(self, template: Term, *names: str) -> Callable[..., Value]:
-        """Compile ``template`` once; the result, called with one part per
-        name in ``names``, is the template's value with those names bound."""
-        code = compile_term(template, {n: i for i, n in enumerate(names)}, len(names), self.registry)
+        """Compile ``template`` once per battery; the result, called with
+        one part per name in ``names``, is the template's value with those
+        names bound."""
+        key = (template, names)
+        code = self._codes.get(key)
+        if code is None:
+            code = compile_term(template, {n: i for i, n in enumerate(names)}, len(names), self.registry)
+            self._codes[key] = code
         return lambda *parts: code(parts)
 
     # -- scalar-valued combinators ------------------------------------------

@@ -7,7 +7,9 @@ at each of ``SEEDS``.  Regenerate it, only on purpose, with
     PYTHONPATH=src python tests/test_canonical.py
 """
 
+import functools
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
@@ -16,12 +18,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from linmetric import gen
 from linmetric.core import (
+    App,
     Const,
     FnApp,
+    I,
     Lam,
+    LetPair,
+    LetStar,
+    Pair,
     R,
+    STAR,
+    TLolli,
+    TTensor,
     Var,
     children,
+    env_of,
     free_vars,
     parse_env,
     parse_term,
@@ -42,7 +53,7 @@ from linmetric.dynamics import (
     eq_canonical,
     fold_literals,
 )
-from linmetric.metrics import check_qderivation, equ_upper_bound
+from linmetric.metrics import Eq0, _replay, check_qderivation, equ_upper_bound
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "eq_canonical.txt"
 REG = gen.corpus_registry()
@@ -173,6 +184,105 @@ def test_canonical_forms_of_generated_terms_are_fixed(rng):
         c = eq_canonical(t, REG)
         assert _fixed(c)
         assert eq_canonical(c, REG) is c
+
+
+PAIR = TTensor(R, R)
+LET_ENV = env_of(
+    ("p", PAIR), ("q", TTensor(PAIR, R)), ("u", I),
+    ("g", TLolli(TLolli(R, R), R)), ("k", TLolli(R, R)), ("h", TLolli(TLolli(PAIR, PAIR), R)),
+)
+
+
+def let_chain(rng: random.Random):
+    """A term of type R under ``LET_ENV``: a chain of lets, some of whose
+    scrutinees are binders of earlier lets or lets themselves, over a sum
+    whose operands may be lets, η-redexes, a β-redex or a symbol on a
+    literal."""
+    names = (f"x{i}" for i in itertools.count())
+    sources = [("p", LET_ENV.lookup("p")), ("q", LET_ENV.lookup("q"))]  # pairs not read yet
+    reals: list = []  # terms of type R to add up
+    unit_read = False
+
+    def split(scrut, ty) -> tuple:
+        a, b = next(names), next(names)
+        for v, t in ((a, ty.left), (b, ty.right)):
+            if t == R:
+                reals.append(Var(v))
+            else:
+                sources.append((v, t))
+        return a, b
+
+    chain = []  # (binders, scrutinee), outermost first
+    for _ in range(rng.randint(1, 4)):
+        if sources and rng.random() < 0.75:
+            name, ty = sources.pop(rng.randrange(len(sources)))
+            scrut = Var(name)
+            if rng.random() < 0.3:  # a let in scrutinee position
+                c, d = next(names), next(names)
+                scrut = LetPair(c, d, scrut, Pair(Var(c), Var(d)))
+            chain.append((split(scrut, ty), scrut))
+        else:
+            chain.append(((), STAR if unit_read else Var("u")))
+            unit_read = True
+
+    def consume(t, ty):  # a term of type R that reads t : ty
+        if ty == R:
+            return t
+        a, b = next(names), next(names)
+        return LetPair(a, b, t, FnApp("add", (consume(Var(a), ty.left), consume(Var(b), ty.right))))
+
+    operands = reals + [consume(Var(n), t) for n, t in sources]
+    eta = rng.random() < 0.5
+    operands.append(App(Var("g"), Lam("z", R, App(Var("k"), Var("z"))) if eta else Var("k")))
+    ident = LetPair("c", "d", Var("w"), Pair(Var("c"), Var("d"))) if rng.random() < 0.5 else Var("w")
+    operands.append(App(Var("h"), Lam("w", PAIR, ident)))
+    if rng.random() < 0.5:
+        operands.append(FnApp("sin", (Const(0.5),)))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(operands))
+        operands[i] = App(Lam("z", R, Var("z")), operands[i])
+    rng.shuffle(operands)
+    body = functools.reduce(lambda x, y: FnApp("add", (x, y)), operands)
+    if not unit_read:
+        body = LetStar(Var("u"), body)
+    for binders, scrut in reversed(chain):
+        body = LetPair(binders[0], binders[1], scrut, body) if binders else LetStar(scrut, body)
+    return body
+
+
+def generated_term(rng: random.Random):
+    """``(env, ty, term)``: a let chain, or a term of ``gen`` or its equal variant."""
+    if rng.random() < 0.5:
+        return LET_ENV, R, let_chain(rng)
+    env, ty = gen.gen_env(rng), gen.gen_type(rng, 2, rng.randint(1, 4))
+    assume(gen.feasible_site(env, ty))
+    m = gen.gen_term(rng, env, ty, REG, fuel=rng.randint(1, 5))
+    return env, ty, gen.equal_variant(rng, m, ty, REG) if rng.random() < 0.5 else m
+
+
+def test_let_chains_are_typed_and_reach_every_rule():
+    seen = set()
+    for seed in range(100):
+        t = let_chain(random.Random(seed))
+        assert typecheck(LET_ENV, t, REG) == R, print_term(t)
+        steps: list = []
+        eq_canonical(t, REG, steps)
+        seen |= {s[0] for s in steps}
+    # every rule but eta-let*, which the generated terms of gen reach
+    assert seen == {
+        "beta", "let*", "let(x)", "eta-lam", "eta-let(x)", "fold", "commute-let", "commute-op", "swap"
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_replaying_the_recorded_steps_reaches_the_canonical_form(rng):
+    env, ty, t = generated_term(rng)
+    steps: list = []
+    c = eq_canonical(t, REG, steps)
+    assert c == eq_canonical(t, REG)
+    assert _replay(t, tuple(steps), REG, "lhs", "root") == c
+    assert check_qderivation(Eq0(env, ty, t, c, tuple(steps)), REG) == 0.0
 
 
 def test_sorting_lets_keeps_a_scrutinee_after_the_let_that_binds_it():

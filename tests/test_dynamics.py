@@ -297,6 +297,14 @@ def test_eval_let_star():
     assert evaluate(parse_term("let * = * in 4.0")) == Const(4.0)
 
 
+def is_value(t) -> bool:
+    if isinstance(t, (Const, Star, Lam)):
+        return True
+    if isinstance(t, Pair):
+        return is_value(t.left) and is_value(t.right)
+    return False
+
+
 def test_eval_closed_terms_are_values():
     for text in [
         "sin(cos(1.0))",
@@ -306,10 +314,7 @@ def test_eval_closed_terms_are_values():
     ]:
         m = parse_term(text)
         typecheck(EMPTY_ENV, m)
-        v = evaluate(m)
-        from linmetric.core import is_value
-
-        assert is_value(v)
+        assert is_value(evaluate(m))
 
 
 # -- normalization ---------------------------------------------------------------
@@ -317,6 +322,28 @@ def test_eval_closed_terms_are_values():
 
 def test_normalize_identity_application():
     assert beta_normalize(parse_term(r"(\x:R. x) 5.0")) == Const(5.0)
+
+
+def test_normalization_guard_trips_at_the_step_past_its_bound():
+    # (\x. x x) (\x. x x), of size 9, contracts to itself: the bound is set
+    # at step 8 to 8 + 9 steps, so the 18th contraction is the last
+    omega = App(Lam("x", R, App(Var("x"), Var("x"))), Lam("x", R, App(Var("x"), Var("x"))))
+    steps: list = []
+    with pytest.raises(AssertionError, match="size bound of a linear term"):
+        beta_normalize(omega, steps)
+    assert steps == [("beta", ())] * 18
+
+
+def test_contracting_a_pair_does_not_capture_a_name_its_left_half_reads():
+    # the binder y shadows the free y that the left half reads: the body's
+    # x is that free y, its y is 1.0 (substituting one half after the other
+    # gave add(1.0, 1.0), and canonicalization folded that to 2.0)
+    env = env_of(("y", R))
+    m = LetPair("x", "y", Pair(Var("y"), Const(1.0)), FnApp("add", (Var("x"), Var("y"))))
+    assert typecheck(env, m) == R
+    assert beta_normalize(m) == FnApp("add", (Var("y"), Const(1.0)))
+    assert eq_canonical(m) == FnApp("add", (Var("y"), Const(1.0)))
+    assert metrics.equ_upper_bound(env, R, m, parse_term("add(y, 2.0)"))[0] == 1.0
 
 
 def test_normalize_under_binder():

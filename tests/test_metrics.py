@@ -267,6 +267,14 @@ def test_check_qderivation_examples():
 def test_check_qderivation_eq0():
     m = parse_term(r"\x:R. (\y:R. y) x")
     n = parse_term(r"\x:R. x")
+    assert check_qderivation(Eq0(EMPTY_ENV, TLolli(R, R), m, n, (("beta", (0,)),))) == 0.0
+    # without its step the checker does not rewrite m, so the sides do not meet
+    with pytest.raises(CertificateError, match=r"^root: Eq0 on terms not provably equal$"):
+        check_qderivation(Eq0(EMPTY_ENV, TLolli(R, R), m, n))
+
+
+def test_eq0_with_alpha_equal_sides_and_no_steps_holds_by_reflexivity():
+    m, n = parse_term(r"\x:R. sin(x)"), parse_term(r"\y:R. sin(y)")
     assert check_qderivation(Eq0(EMPTY_ENV, TLolli(R, R), m, n)) == 0.0
 
 
@@ -293,7 +301,7 @@ def test_check_qderivation_rejects_broken_trans():
 
 
 def test_check_qderivation_rejects_bad_eq0():
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"^root: Eq0 on terms not provably equal$"):
         check_qderivation(Eq0(EMPTY_ENV, R, Const(0.0), Const(1.0)))
 
 
@@ -328,11 +336,103 @@ def test_eq0_with_a_side_that_does_not_typecheck_is_rejected_at_its_path(d, mess
 )
 def test_eq0_with_a_side_that_overflows_on_folding_is_rejected_at_its_path(wrap, path):
     t = parse_term("add(1e308, 1e308)")
+    fold = (("fold", ()),)
     with pytest.raises(CertificateError) as exc:
-        check_qderivation(wrap(Eq0(EMPTY_ENV, R, t, t)))
+        check_qderivation(wrap(Eq0(EMPTY_ENV, R, t, t, fold, fold)))
     assert str(exc.value) == (
         f"{path}: Eq0 side does not fold: add(1e+308, 1e+308) = inf is not a finite number"
     )
+
+
+# Each Eq0 below names one rule at a subterm where its shape or side
+# condition fails.  Where it is well-typed, the right-hand side is what
+# the rule would give there without its check; otherwise it is the left.
+UNSOUND_STEPS = [
+    ("k:R -o R", "R", "k 1.0", "k 1.0", ("beta", ())),  # no λ at the head
+    ("u:I", "R", "let * = u in 1.0", "let * = u in 1.0", ("let*", ())),  # scrutinee not *
+    ("p:R (x) R", "R", "let a (x) b = p in add(a, b)", "let a (x) b = p in add(a, b)", ("let(x)", ())),
+    ("k:R -o R", "R -o R", r"\x:R. k sin(x)", "k", ("eta-lam", ())),  # argument is not the binder
+    ("u:I, v:I", "I", "let * = u in v", "let * = u in v", ("eta-let*", ())),  # body is not *
+    ("p:R (x) R", "R (x) R", "let a (x) b = p in b * a", "p", ("eta-let(x)", ())),  # halves swapped
+    ("x:R", "R", "sin(x)", "x", ("fold", ())),  # an argument is no literal
+    # the floated binder a would capture the sibling's free a
+    ("p:R (x) R, a:R", "R", "add(let a (x) b = p in add(a, b), a)",
+     "add(let a (x) b = p in add(a, b), a)", ("commute-op", (), 0, ("a", "b"))),
+    # the hoisted inner binder a would capture the outer body's free a
+    ("p:R (x) R, a:R", "R", "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)",
+     "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)", ("commute-let", (), ("a", "b"))),
+    # the inner scrutinee reads the outer binder a
+    ("p:(R (x) R) (x) R", "R", "let a (x) b = p in let c (x) d = a in add(add(c, d), b)",
+     "let a (x) b = p in let c (x) d = a in add(add(c, d), b)", ("swap", ())),
+]
+
+
+@pytest.mark.parametrize("env, ty, lhs, rhs, step", UNSOUND_STEPS, ids=[c[4][0] for c in UNSOUND_STEPS])
+def test_an_unsound_step_of_each_rule_is_rejected_at_its_path(env, ty, lhs, rhs, step):
+    d = Eq0(parse_env(env), parse_type(ty), parse_term(lhs), parse_term(rhs), (step,))
+    with pytest.raises(CertificateError) as exc:
+        check_qderivation(Trans(ConstAxiom(1.0, 1.0, 0.0), d))
+    assert str(exc.value) == f"root.right: Eq0 lhs step 0 does not apply: {step!r}"
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, step",
+    [
+        ("add(let a (x) b = p in add(a, b), a)", "let a_ (x) b = p in add(add(a_, b), a)",
+         ("commute-op", (), 0, ("a_", "b"))),
+        ("let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)",
+         "let a_ (x) b = p in let c (x) d = b * a_ in add(add(c, d), a)", ("commute-let", (), ("a_", "b"))),
+    ],
+)
+def test_a_commuting_conversion_holds_once_its_binders_are_renamed_apart(lhs, rhs, step):
+    env = parse_env("p:R (x) R, a:R")
+    assert check_qderivation(Eq0(env, R, parse_term(lhs), parse_term(rhs), (step,))) == 0.0
+    # a new name must be fresh: b is already bound beside it
+    bad = step[:-1] + (("b", "b"),)
+    with pytest.raises(CertificateError) as exc:
+        check_qderivation(Eq0(env, R, parse_term(lhs), parse_term(rhs), (bad,)))
+    assert str(exc.value) == f"root: Eq0 lhs step 0 does not apply: {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [(), ("beta",), "beta", ["beta", ()], ("beta", (5,)), ("beta", ("0",)), ("beta", {0: 1}), ("nosuch", ())],
+)
+def test_a_malformed_step_is_rejected(step):
+    d = Eq0(EMPTY_ENV, R, parse_term(r"(\x:R. x) 1.0"), Const(1.0), (step,))
+    with pytest.raises(CertificateError) as exc:
+        check_qderivation(d)
+    assert str(exc.value) == f"root: Eq0 lhs step 0 does not apply: {step!r}"
+
+
+def test_eq0_certificates_check_without_the_canonicalizer(monkeypatch):
+    # every certificate of a seed-0 certify pass, checked with the
+    # canonicalizer and each of its root rules made to raise
+    from pathlib import Path
+
+    import linmetric.dynamics as dynamics
+    import linmetric.metrics as metrics
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import Certify
+
+    work = Certify(0)
+    reg = work.registry
+    certs = []
+    for item in work.items:
+        m, n = (parse_term(t, reg) for t in item.texts)
+        hi, cert = equ_upper_bound(item.env, item.ty, m, n, reg)
+        if cert is not None:
+            certs.append((hi, cert))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker called the canonicalizer")
+
+    for name in ("eq_canonical", "eq_decide", "_contract", "_hoist_root", "_sort_root", "_eta_root", "_foldable"):
+        monkeypatch.setattr(dynamics, name, refuse)
+        monkeypatch.setattr(metrics, name, refuse, raising=False)
+    assert len(certs) == 2134
+    assert all(check_qderivation(cert, reg) == hi for hi, cert in certs)
 
 
 def test_check_qderivation_rejects_nonlinear_context():
