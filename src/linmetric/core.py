@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -72,24 +73,24 @@ class EvalError(LinError):
 # Types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ty:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TReal(Ty):
     def __repr__(self):
         return "R"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TUnit(Ty):
     def __repr__(self):
         return "I"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTensor(Ty):
     left: Ty
     right: Ty
@@ -98,7 +99,7 @@ class TTensor(Ty):
         return f"({self.left!r} (x) {self.right!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TLolli(Ty):
     arg: Ty
     res: Ty
@@ -168,58 +169,58 @@ def is_one_point(t: Ty) -> bool:
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnApp(Term):
     symbol: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
     ann: Ty
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetStar(Term):
     scrutinee: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetPair(Term):
     var1: str
     var2: str
@@ -227,13 +228,16 @@ class LetPair(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hole(Term):
     """The unique hole of a one-hole context."""
 
 
 STAR = Star()
 HOLE = Hole()
+# The term classes with no children.  A hot walk handles a child of these
+# classes in the parent's frame instead of calling itself on it.
+LEAVES = frozenset((Var, Const, Star, Hole))
 
 # A Context is a Term containing exactly one Hole.
 Context = Term
@@ -316,17 +320,24 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
+    """The free names of ``t``.  A leaf child is read in its parent's
+    frame, with no call of its own."""
+    cls = type(t)
+    if cls is Var:
         return {t.name}
-    if isinstance(t, (Const, Star, Hole)):
+    if cls in LEAVES:
         return set()
-    if isinstance(t, Lam):
+    if cls is Lam:
         return free_vars(t.body) - {t.var}
-    if isinstance(t, LetPair):
+    if cls is LetPair:
         return free_vars(t.scrutinee) | (free_vars(t.body) - {t.var1, t.var2})
     out: set[str] = set()
     for c in children(t):
-        out |= free_vars(c)
+        k = type(c)
+        if k is Var:
+            out.add(c.name)
+        elif k not in LEAVES:
+            out |= free_vars(c)
     return out
 
 
@@ -395,7 +406,7 @@ BUILTIN_KINDS = ("add", "sin", "cos", "const", "scale_le1", "min", "max")
 
 def _make_evaluator(kind: str, value: Optional[float]) -> tuple[int, Callable[..., float]]:
     if kind == "add":
-        return 2, lambda a, b: a + b
+        return 2, operator.add
     if kind == "sin":
         return 1, math.sin
     if kind == "cos":
@@ -909,10 +920,24 @@ class _Parser:
                 if text not in self.registry:
                     raise ParseError(f"unknown symbol name {text!r}", pos)
                 self.lx.next()
-                args = [self.parse_term()]
-                while self.lx.peek()[0] == ",":
+                args = []
+                while True:
+                    # a lone name or literal argument is read here, counted
+                    # as the parse_term call it stands for
+                    tokens, i = self.lx.tokens, self.lx.idx
+                    k, word, _ = tokens[i]
+                    if k in ("num", "ident") and tokens[i + 1][0] in (",", ")") and (
+                        k == "num" or word not in ("let", "in") and word not in self.registry
+                    ):
+                        if self.nesting >= MAX_NESTING:
+                            self._enter()  # raises where parse_term would
+                        self.lx.idx += 1
+                        args.append(Const(float(word)) if k == "num" else Var(word))
+                    else:
+                        args.append(self.parse_term())
+                    if self.lx.peek()[0] != ",":
+                        break
                     self.lx.next()
-                    args.append(self.parse_term())
                 self.lx.expect(")")
                 sym = self.registry.get(text)
                 if len(args) != sym.arity:
@@ -982,8 +1007,12 @@ def _print(t: Term, prec: int) -> str:
         return "(*)" if prec >= 3 else "*"  # in argument position * reads as tensor
     if isinstance(t, Hole):
         return "[-]"
-    if isinstance(t, FnApp):
-        return f"{t.symbol}({', '.join(_print(a, 0) for a in t.args)})"
+    if isinstance(t, FnApp):  # a name or literal argument is printed here
+        args = [
+            a.name if type(a) is Var else repr(a.value) if type(a) is Const else _print(a, 0)
+            for a in t.args
+        ]
+        return f"{t.symbol}({', '.join(args)})"
     if isinstance(t, App):
         s = f"{_print(t.fn, 2)} {_print(t.arg, 3)}"
         return f"({s})" if prec >= 3 else s
@@ -1048,7 +1077,9 @@ class _Checker:
     goes unused is an error.  A hole uses exactly the hole environment,
     which must be the part of ``scope`` it names, in order.  A derivation's
     ``env`` is the part of ``scope`` its names pick, built without ``Env``'s
-    duplicate check: the keys of a dict are distinct.
+    duplicate check: the keys of a dict are distinct.  Without ``build``, a
+    leaf returns its result directly and a symbol's literal argument is
+    typed in the symbol's frame, with no call of its own.
     """
 
     def __init__(
@@ -1067,28 +1098,33 @@ class _Checker:
 
     def _check(self, scope: dict[str, Ty], t: Term) -> tuple:
         cls = type(t)
+        build = self.build
         if cls is Var:
             if t.name not in scope:
                 raise TypeError_(f"unbound variable {t.name!r}")
+            if not build:
+                return scope[t.name], (t.name,), None
             return self._done(scope, t, scope[t.name], (t.name,))
         if cls is FnApp:
             sym = self.registry.get(t.symbol)
             if len(t.args) != sym.arity:
                 raise TypeError_(f"symbol {t.symbol!r} has arity {sym.arity}, got {len(t.args)}")
-            subs = [self._check(scope, a) for a in t.args]
+            subs = [
+                (R, (), None) if type(a) is Const and not build else self._check(scope, a) for a in t.args
+            ]
             for s in subs:
-                if s[0] != R:
+                if s[0] is not R and s[0] != R:
                     raise TypeError_(f"argument of {t.symbol!r} must be R, got {print_type(s[0])}")
             return self._node(scope, t, R, subs)
         if cls is Const:
-            return self._done(scope, t, R, ())
+            return (R, (), None) if not build else self._done(scope, t, R, ())
         if cls is App:
             f = self._check(scope, t.fn)
             fty = f[0]
             if not isinstance(fty, TLolli):
                 raise TypeError_(f"application head has type {print_type(fty)}, not a function")
             a = self._check(scope, t.arg)
-            if a[0] != fty.arg:
+            if a[0] is not fty.arg and a[0] != fty.arg:
                 raise TypeError_(
                     f"argument type {print_type(a[0])} does not match {print_type(fty.arg)}"
                 )
@@ -1102,7 +1138,7 @@ class _Checker:
             return self._node(scope, t, TTensor(l[0], r[0]), [l, r])
         if cls is LetStar:
             s = self._check(scope, t.scrutinee)
-            if s[0] != I:
+            if s[0] is not I and s[0] != I:
                 raise TypeError_(f"let * scrutinee must be I, got {print_type(s[0])}")
             b = self._check(scope, t.body)
             return self._node(scope, t, b[0], [s, b])
@@ -1117,7 +1153,7 @@ class _Checker:
             bty, names, db = self._check(_bind(scope, binders), t.body)
             return self._node(scope, t, bty, [s, (bty, _unbind(names, (t.var1, t.var2)), db)])
         if cls is Star:
-            return self._done(scope, t, I, ())
+            return (I, (), None) if not build else self._done(scope, t, I, ())
         if cls is Hole:
             if self.hole is None:
                 raise TypeError_("hole in a plain term")
@@ -1133,16 +1169,20 @@ class _Checker:
         split = tuple([s[1] for s in subs])
         parts = [p for p in split if p]
         if len(parts) < 2:  # nothing used twice, and a premise's names are in scope order
-            return self._done(scope, t, ty, parts[0] if parts else (), (split,), subs)
-        used = set().union(*parts)
-        if len(used) != sum(map(len, parts)):
-            seen: set[str] = set()
-            for part in parts:
-                twice = seen.intersection(part)
-                if twice:
-                    raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
-                seen.update(part)
-        return self._done(scope, t, ty, tuple([n for n in scope if n in used]), (split,), subs)
+            names = parts[0] if parts else ()
+        else:
+            used = set().union(*parts)
+            if len(used) != sum(map(len, parts)):
+                seen: set[str] = set()
+                for part in parts:
+                    twice = seen.intersection(part)
+                    if twice:
+                        raise TypeError_(f"variable(s) used twice: {sorted(twice)} (linearity violation)")
+                    seen.update(part)
+            names = tuple([n for n in scope if n in used])
+        if not self.build:
+            return ty, names, None
+        return self._done(scope, t, ty, names, (split,), subs)
 
     def _done(self, scope: dict, t: Term, ty: Ty, names: tuple, splits=(), subs=()) -> tuple:
         """``_check``'s result, with a derivation only if ``build`` is set."""

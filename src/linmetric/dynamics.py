@@ -14,15 +14,20 @@ term (the language is linear), so both terminate.
 equational class using beta, the let laws, eta-contraction of all three
 connectives, evaluation of symbols on literal arguments, and the two
 let-commuting conversions (used to hoist and deterministically order
-let bindings).  Each pass is a root rule applied over the children and
-rebuilds a node only when a child changed, so a pass that fires nowhere
-returns its input and unchanged subtrees are shared.  Before each round
-a read-only walk tries every root rule at every node; if none fires,
-the round is not run.  ``beta_normalize`` and the round loop compute
-their size bounds only after 8 steps.  Given a list, both record each
-root rule that fires as a step at its position (``_record``), so that a
-checker can replay the rewriting without running it again
-(``metrics._eq_step``); a call given no list records nothing.
+let bindings).  Each pass is a root rule applied over the children
+(``_map_children``) and rebuilds a node only when a child changed, so a
+pass that fires nowhere returns its input and unchanged subtrees are
+shared.  No root rule fires at a leaf, so ``_map_children`` hands a
+``Var``, ``Const``, ``Star`` or ``Hole`` child back without calling the
+pass on it; ``_fixed``, ``_step_normal_order``, ``substitute`` and
+``literal_diffs`` likewise read leaf children in the parent's frame.
+Before each round a read-only walk tries every root rule at every node;
+if none fires, the round is not run.  ``beta_normalize`` and the round
+loop compute their size bounds only after 8 steps.  Given a list, both
+record each root rule that fires as a step at its position
+(``_record``), so that a checker can replay the rewriting without
+running it again (``metrics._eq_step``); a call given no list records
+nothing.
 ``eq_decide`` compares canonical forms up to alpha-renaming; it is sound
 but deliberately incomplete.
 """
@@ -40,6 +45,7 @@ from .core import (
     FnApp,
     Hole,
     INF,
+    LEAVES,
     Lam,
     LetPair,
     LetStar,
@@ -73,19 +79,19 @@ def substitute(term: Term, var: str, value: Term) -> Term:
     fv_value = free_vars(value)
 
     def go(t: Term) -> Term:
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             return value if t.name == var else t
-        if isinstance(t, (Const, Star)):
+        if cls is Const or cls is Star:
             return t
-        if isinstance(t, FnApp):
-            return FnApp(t.symbol, tuple(go(a) for a in t.args))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, Pair):
-            return Pair(go(t.left), go(t.right))
-        if isinstance(t, LetStar):
-            return LetStar(go(t.scrutinee), go(t.body))
-        if isinstance(t, Lam):
+        if cls is FnApp or cls is App or cls is Pair or cls is LetStar:
+            # a leaf child is substituted here, with no call of its own
+            kids = children(t)
+            return rebuild(t, [
+                (value if c.name == var else c) if type(c) is Var else c if type(c) in LEAVES else go(c)
+                for c in kids
+            ])
+        if cls is Lam:
             if t.var == var:
                 return t
             if t.var in fv_value and var in free_vars(t.body):
@@ -94,7 +100,7 @@ def substitute(term: Term, var: str, value: Term) -> Term:
                 body = substitute(t.body, t.var, Var(nv))
                 return Lam(nv, t.ann, go(body))
             return Lam(t.var, t.ann, go(t.body))
-        if isinstance(t, LetPair):
+        if cls is LetPair:
             scrut = go(t.scrutinee)
             if var in (t.var1, t.var2):
                 return LetPair(t.var1, t.var2, scrut, t.body)
@@ -263,6 +269,8 @@ def _step_normal_order(t: Term) -> Optional[tuple[tuple, Term]]:
     if contracted is not None:
         return (), contracted
     for i, c in enumerate(children(t)):
+        if type(c) in LEAVES:  # no redex in a leaf
+            continue
         found = _step_normal_order(c)
         if found is not None:
             return (i,) + found[0], found[1]
@@ -311,7 +319,9 @@ def literal_diffs(
 
     ``ma``/``mb`` map each bound name of ``a``/``b`` to a tag naming its
     binder, so that two bound variables agree iff they have the same tag;
-    they are only read, never written.
+    they are only read, never written.  A tag is a new object per pair of
+    binders, so a binder that shadows an outer name cannot share its tag
+    with another.
     """
     if type(a) is not type(b):
         return None
@@ -331,10 +341,10 @@ def literal_diffs(
     elif isinstance(a, Lam):
         if a.ann != b.ann:
             return None
-        tag = f"#b{len(ma)}"
+        tag = object()
         pairs = [(a.body, b.body, {**ma, a.var: tag}, {**mb, b.var: tag})]
     elif isinstance(a, LetPair):
-        t1, t2 = f"#b{len(ma)}", f"#b{len(ma)}'"
+        t1, t2 = object(), object()
         pairs = [
             (a.scrutinee, b.scrutinee, ma, mb),
             (a.body, b.body, {**ma, a.var1: t1, a.var2: t2}, {**mb, b.var1: t1, b.var2: t2}),
@@ -342,6 +352,19 @@ def literal_diffs(
     else:  # App, Pair, LetStar: positional children, no binders
         pairs = [(x, y, ma, mb) for x, y in zip(children(a), children(b))]
     for i, (x, y, mx, my) in enumerate(pairs):
+        cls = type(x)  # a pair of leaves is compared here, with no call of its own
+        if cls is not type(y):
+            return None
+        if cls is Const:
+            if x.value != y.value:
+                out.append(((i,), x.value, y.value))
+            continue
+        if cls is Var:
+            if mx.get(x.name, x.name) != my.get(y.name, y.name):
+                return None
+            continue
+        if cls is Star or cls is Hole:
+            continue
         sub = literal_diffs(x, y, mx, my)
         if sub is None:
             return None
@@ -355,17 +378,21 @@ def literal_diffs(
 
 
 def _map_children(t: Term, f, trace: Optional[list], *args) -> Term:
-    """``t`` with ``f(child, *args)`` for each child, each child's steps
-    moved under its position; ``t`` itself when every child came back as
-    the same object."""
+    """``t`` with ``f(child, *args)`` for each child that is not a leaf,
+    each child's steps moved under its position; ``t`` itself when every
+    child came back as the same object.  Every pass given as ``f`` returns
+    a leaf as it is and records nothing there, so a leaf is not passed."""
     old = children(t)
     if not old:
         return t
     if trace is None:
-        kids = [f(c, *args) for c in old]
+        kids = [c if type(c) in LEAVES else f(c, *args) for c in old]
     else:
         kids = []
         for i, c in enumerate(old):
+            if type(c) in LEAVES:
+                kids.append(c)
+                continue
             n = len(trace)
             kids.append(f(c, *args, trace))
             if len(trace) > n:
@@ -505,9 +532,11 @@ def _hoist_root(t: Term, trace: Optional[list] = None) -> Term:
 
 
 def _mask_literals(t: Term) -> Term:
-    if isinstance(t, Const):
+    """``t`` with every literal 0.0."""
+    if type(t) is Const:
         return Const(0.0)
-    return _map_children(t, _mask_literals, None)
+    kids = children(t)
+    return rebuild(t, [_mask_literals(c) for c in kids]) if kids else t
 
 
 def _let_sort_key(t: Term) -> tuple[str, str]:
@@ -542,12 +571,11 @@ def _fixed(t: Term) -> bool:
     """True exactly when no rule of ``eq_canonical``'s round fires
     anywhere in ``t``, so that each of its passes would return ``t``
     itself: a pass is its root rule over ``_map_children``."""
-    cls = type(t)
-    if cls is Var or cls is Const or cls is Star or cls is Hole:
-        return True
+    for c in children(t):
+        if type(c) not in LEAVES and not _fixed(c):
+            return False
     return (
-        all(map(_fixed, children(t)))
-        and _contract(t) is None
+        _contract(t) is None
         and not _foldable(t)
         and _hoist_root(t) is t
         and _sort_root(t) is t

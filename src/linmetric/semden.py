@@ -40,6 +40,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -135,16 +136,14 @@ def compile_term(
     """
     cls = type(t)
     if cls is Var:
-        i = slots[t.name]
-        return lambda env: env[i]
+        return itemgetter(slots[t.name])
     if cls is Const:
         value = t.value
         return lambda env: value
     if cls is Star:
         return lambda env: UNIT
     if id(t) in slots:  # hoisted parts are never leaves
-        i = slots[id(t)]
-        return lambda env: env[i]
+        return itemgetter(slots[id(t)])
     if cls is FnApp:
         f = registry.get(t.symbol).evaluator
         args = [compile_term(a, slots, depth, registry) for a in t.args]

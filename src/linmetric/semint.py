@@ -462,6 +462,13 @@ def int_term_denotation(h: IntTerm, assignment: dict[str, object], registry: Sym
         return UNIT
     if cls is FnApp:
         f = registry.get(h.symbol).evaluator
+        if len(h.args) == 1:
+            a = int_term_denotation(h.args[0], assignment, registry)
+            return BOTTOM if a is BOTTOM else f(a)
+        if len(h.args) == 2:
+            a = int_term_denotation(h.args[0], assignment, registry)
+            b = int_term_denotation(h.args[1], assignment, registry)
+            return BOTTOM if a is BOTTOM or b is BOTTOM else f(a, b)
         vals = [int_term_denotation(a, assignment, registry) for a in h.args]
         return BOTTOM if BOTTOM in vals else f(*vals)
     raise AssertionError(h)

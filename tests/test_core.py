@@ -663,6 +663,41 @@ def test_parser_nesting_limit():
         parse_type("R -o " * 3000 + "R")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a '[' that does not open "[-]", and a '-' that ends the input
+        ("[x]", "unexpected character '[' (at offset 0)"),
+        ("[-", "unexpected character '[' (at offset 0)"),
+        ("1.0 -", "unexpected character '-' (at offset 4)"),
+    ],
+)
+def test_lexer_rejects_a_stray_bracket_or_minus(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "prefix, arg, at",
+    [
+        ("", "1.0", 400),
+        # the λ and its body take two levels: the 99th sin's argument is the 101st
+        ("\\x:R. ", "x", 402),
+        ("\\x:R. ", "add(x, 1.0)", 402),
+        ("\\x:R. ", "add(1.0, x)", 402),
+    ],
+)
+def test_a_lone_symbol_argument_counts_as_a_nesting_level(prefix, arg, at):
+    # a name or literal argument read without a parse_term call of its own
+    # must still fail at its own offset, not through the height walk at 0
+    depth = MAX_NESTING - len(prefix) // 6 - arg.count("(")
+    with pytest.raises(ParseError) as e:
+        parse_term(prefix + "sin(" * depth + arg + ")" * depth)
+    assert str(e.value) == f"input nests deeper than {MAX_NESTING} levels (at offset {at})"
+    assert parse_term(prefix + "sin(" * (depth - 1) + arg + ")" * (depth - 1))
+
+
 def test_registry_accepts_an_infinite_gap():
     reg = SymbolRegistry.from_config({"gaps": [{"a": "min", "b": "max", "bound": math.inf}]})
     assert reg.gap("max", "min") == math.inf

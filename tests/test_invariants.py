@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linmetric.core import (
     Const,
@@ -41,6 +42,8 @@ from linmetric.metrics import (
 )
 from linmetric.semden import ProbeBattery, den_distance, ground_l1, interp_den, sem_l1
 from linmetric.semint import int_distance
+
+from test_walk_oracles import generated_pair
 
 REG = corpus_registry()
 BATTERY = ProbeBattery(REG, seed=0)
@@ -284,6 +287,27 @@ def test_equ_certificates_revalidate_on_corpus():
         assert alpha_eq(j.lhs, m) and alpha_eq(j.rhs, n)
         replayed += 1
     assert replayed >= 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_eq_canonical_preserves_type_on_generated_pairs(rng):
+    env, ty, m, n = generated_pair(rng)
+    for t in (m, n):
+        assert typecheck(env, eq_canonical(t, REG), REG) == ty
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_equ_certificates_revalidate_on_generated_pairs(rng):
+    from linmetric.metrics import check_qderivation, qderivation_judgment
+
+    env, ty, m, n = generated_pair(rng)
+    r, cert = equ_upper_bound(env, ty, m, n, REG)
+    if cert is not None:
+        assert check_qderivation(cert, REG) == pytest.approx(r, abs=1e-12)
+        j = qderivation_judgment(cert, REG)
+        assert alpha_eq(j.lhs, m) and alpha_eq(j.rhs, n)
 
 
 def test_obs_witnesses_replay_on_corpus():
