@@ -379,7 +379,7 @@ class ObsBudget:
     max_contexts: int = 300
 
 
-def probe_values(ty: Ty, registry: SymbolRegistry, limit: int = 8) -> list[Term]:
+def probe_values(ty: Ty, registry: SymbolRegistry, limit: int) -> list[Term]:
     """Closed syntactic values of a type, deterministic, possibly empty."""
     out = _probe_values(ty, registry, depth=3)
     return out[:limit]

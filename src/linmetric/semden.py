@@ -341,7 +341,6 @@ class ProbeBattery:
     ):
         self.registry = registry if registry is not None else default_registry()
         self.seed = seed
-        self.draws = draws
         self.max_samples = max_samples
         rng = random.Random(seed)
         self.reals = list(DEFAULT_GRID) + [rng.uniform(-100.0, 100.0) for _ in range(draws)]

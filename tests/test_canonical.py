@@ -46,14 +46,16 @@ from linmetric.dynamics import (
     _hoist_lets,
     _is_let,
     _let_parts,
+    _let_sort_key,
     _make_let,
     _rename_binders,
     _sort_lets,
+    alpha_eq,
     beta_normalize,
     eq_canonical,
     fold_literals,
 )
-from linmetric.metrics import Eq0, _replay, check_qderivation, equ_upper_bound
+from linmetric.metrics import Eq0, _replay, check_qderivation, equ_upper_bound, qderivation_judgment
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "eq_canonical.txt"
 REG = gen.corpus_registry()
@@ -295,6 +297,88 @@ def test_sorting_lets_keeps_a_scrutinee_after_the_let_that_binds_it():
     bound, cert = equ_upper_bound(env, R, m, n, REG)
     assert bound == 1.0
     assert check_qderivation(cert, REG) == 1.0
+
+
+def dependent_let_chain(rng: random.Random):
+    """``(env, m, n)`` of type R.  ``m`` is a chain of lets that splits an
+    environment of tensors (and perhaps a unit) down to its reals, and then
+    combines them with a literal.  A let mostly reads a binder of the let
+    just above it, and binder names are drawn so that such a let often sorts
+    before that one.  ``n`` is ``m``, a mutant of ``m``, or ``m`` with two
+    adjacent independent lets swapped."""
+    names = (f"{rng.choice('abmnwz')}{i}" for i in itertools.count())
+    env = [(p, TTensor(gen.gen_observable_type(rng, 3), gen.gen_observable_type(rng, 3))) for p in "pq"]
+    env = env[: rng.randint(1, 2)] + ([("u", I)] if rng.random() < 0.5 else [])
+    sources, reals = list(env), []  # names not read yet, with their types; reals to combine
+    lets = []  # (binders, scrutinee name), outermost first
+    while sources:
+        name, ty = sources.pop(-1 if rng.random() < 0.7 else rng.randrange(len(sources)))
+        if ty == R:
+            reals.append(Var(name))
+        elif ty == I:
+            lets.append(((), name))
+        else:
+            a, b = next(names), next(names)
+            lets.append(((a, b), name))
+            sources += rng.sample([(a, ty.left), (b, ty.right)], 2)
+    operands = reals + [Const(rng.choice([0.5, 1.0, 2.0]))]
+    rng.shuffle(operands)
+    body = functools.reduce(lambda x, y: FnApp(rng.choice(["add", "min", "max"]), (x, y)), operands)
+
+    def chain(lets):
+        t = body
+        for binders, scrut in reversed(lets):
+            t = _make_let(binders, Var(scrut), t)
+        return t
+
+    m, roll = chain(lets), rng.random()
+    free = [j for j in range(len(lets) - 1) if lets[j + 1][1] not in lets[j][0]]
+    if roll < 0.4 and free:
+        j = rng.choice(free)
+        n = chain(lets[:j] + [lets[j + 1], lets[j]] + lets[j + 2 :])
+    else:
+        n = m if roll < 0.7 else gen.mutate(rng, m)
+    return env_of(*env), m, n
+
+
+def held_lets(t) -> int:
+    """Adjacent lets on the root chain of ``t`` whose inner scrutinee reads
+    the outer let's binders although it sorts before the outer scrutinee:
+    the pairs that ``_sort_root``'s scoping condition keeps in place."""
+    held = 0
+    while _is_let(t) and _is_let(t.body):
+        binders, _, inner = _let_parts(t)
+        held += bool(set(binders) & free_vars(inner.scrutinee)) and _let_sort_key(inner) < _let_sort_key(t)
+        t = inner
+    return held
+
+
+def test_dependent_let_chains_are_typed_and_hold_lets_in_place():
+    held = 0
+    for seed in range(100):
+        env, m, n = dependent_let_chain(random.Random(seed))
+        assert typecheck(env, m, REG) == typecheck(env, n, REG) == R, print_term(m)
+        held += held_lets(eq_canonical(m, REG)) > 0
+    assert held >= 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_eq_canonical_preserves_type_on_dependent_let_chains(rng):
+    env, m, n = dependent_let_chain(rng)
+    for t in (m, n):
+        assert typecheck(env, eq_canonical(t, REG), REG) == R
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_equ_certificates_revalidate_on_dependent_let_chains(rng):
+    env, m, n = dependent_let_chain(rng)
+    r, cert = equ_upper_bound(env, R, m, n, REG)
+    if cert is not None:  # none where equ finds no derivation
+        assert check_qderivation(cert, REG) == pytest.approx(r, abs=1e-12)
+        j = qderivation_judgment(cert, REG)
+        assert alpha_eq(j.lhs, m) and alpha_eq(j.rhs, n)
 
 
 class Tagged(Var):

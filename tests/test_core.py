@@ -689,8 +689,8 @@ def test_lexer_rejects_a_stray_bracket_or_minus(text, message):
     ],
 )
 def test_a_lone_symbol_argument_counts_as_a_nesting_level(prefix, arg, at):
-    # a name or literal argument read without a parse_term call of its own
-    # must still fail at its own offset, not through the height walk at 0
+    # a name or literal argument is a parse_term call, so it must fail at
+    # its own offset, not through the height walk at 0
     depth = MAX_NESTING - len(prefix) // 6 - arg.count("(")
     with pytest.raises(ParseError) as e:
         parse_term(prefix + "sin(" * depth + arg + ")" * depth)
@@ -727,6 +727,11 @@ def test_names_of_arity():
         (parse_term, "let a", "expected '(x)' in pair pattern, found end of input (at offset 5)"),
         (parse_term, "let * = *", "expected 'in', found end of input (at offset 9)"),
         (parse_env, "x:R,", "expected an environment entry 'name:type', found end of input (at offset 4)"),
+        # the '(' 'x' ')' look-ahead runs into the end of the input
+        (parse_term, "let a (", "expected '(x)' in pair pattern, found '(' (at offset 6)"),
+        (parse_term, "let a (x", "expected '(x)' in pair pattern, found '(' (at offset 6)"),
+        (parse_type, "R (", "trailing input '(' (at offset 2)"),
+        (parse_type, "R (x", "trailing input '(' (at offset 2)"),
     ],
 )
 def test_parse_errors_name_the_end_of_input(parse, text, message):

@@ -177,16 +177,32 @@ def test_full_searches_find_zero_where_equ_certifies_zero():
     assert zeros >= 30 and normalized >= 5
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_ordering_report_is_symmetric(seed):
+def _check_symmetric(env, ty, m, n):
     def numbers(rep):
         got = rep["metrics"]
         return got["obs"]["lo"], got["den"], got["int"]["lo"], got["int"]["hi"], got["equ"]["hi"]
 
-    for env, ty, m, n in typed_pair_corpus(seed, 60, REG):
-        assert numbers(ordering_report(env, ty, m, n, CFG)) == numbers(
-            ordering_report(env, ty, n, m, CFG)
-        ), (print_term(m), print_term(n))
+    assert numbers(ordering_report(env, ty, m, n, CFG)) == numbers(
+        ordering_report(env, ty, n, m, CFG)
+    ), (print_term(m), print_term(n))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_ordering_report_is_symmetric(seed):
+    for pair in typed_pair_corpus(seed, 60, REG):
+        _check_symmetric(*pair)
+
+
+# the three cross-engine laws again, each example on a few pairs of a
+# corpus seed that hypothesis draws
+GENERATED_LAWS = settings(max_examples=10, deadline=None)
+
+
+@GENERATED_LAWS
+@given(st.randoms(use_true_random=False))
+def test_ordering_report_is_symmetric_on_generated_pairs(rng):
+    for pair in typed_pair_corpus(rng.getrandbits(32), 4, REG):
+        _check_symmetric(*pair)
 
 
 def _engine_bounds(env, ty, m, n):
@@ -205,29 +221,51 @@ def _engine_bounds(env, ty, m, n):
     }
 
 
+def _check_triangle(rng, env, ty, m, n):
+    # P is a same-type mutant of N, so (M, N, P) share a site
+    p = mutate(rng, n)
+    mn, np_, mp = (_engine_bounds(env, ty, a, b) for a, b in ((m, n), (n, p), (m, p)))
+    where = (print_term(m), print_term(n), print_term(p))
+    for engine in ("den", "int"):
+        assert mp[engine][0] <= mn[engine][1] + np_[engine][1] + EPS, (engine, where)
+    assert mp["obs"] <= mn["equ"] + np_["equ"] + EPS, where
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_triangle_law_on_mutated_triples(seed):
-    # P is a same-type mutant of N, so (M, N, P) share a site
     rng = random.Random(seed)
-    for env, ty, m, n in typed_pair_corpus(seed, 60, REG):
-        p = mutate(rng, n)
-        mn, np_, mp = (_engine_bounds(env, ty, a, b) for a, b in ((m, n), (n, p), (m, p)))
-        where = (print_term(m), print_term(n), print_term(p))
-        for engine in ("den", "int"):
-            assert mp[engine][0] <= mn[engine][1] + np_[engine][1] + EPS, (engine, where)
-        assert mp["obs"] <= mn["equ"] + np_["equ"] + EPS, where
+    for pair in typed_pair_corpus(seed, 60, REG):
+        _check_triangle(rng, *pair)
+
+
+@GENERATED_LAWS
+@given(st.randoms(use_true_random=False))
+def test_triangle_law_on_generated_triples(rng):
+    for pair in typed_pair_corpus(rng.getrandbits(32), 4, REG):
+        _check_triangle(rng, *pair)
+
+
+def _check_equal_variant(rng, env, ty, m, n):
+    v = equal_variant(rng, m, ty, REG)
+    mn, vn = _engine_bounds(env, ty, m, n), _engine_bounds(env, ty, v, n)
+    where = (print_term(m), print_term(v), print_term(n))
+    for engine in ("den", "int"):
+        (lo1, hi1), (lo2, hi2) = mn[engine], vn[engine]
+        assert max(lo1, lo2) <= min(hi1, hi2) + EPS, (engine, where)
+    assert mn["obs"] <= vn["equ"] + EPS and vn["obs"] <= mn["equ"] + EPS, where
 
 
 def test_an_equal_variant_gives_overlapping_enclosures():
     rng = random.Random(9)
-    for env, ty, m, n in typed_pair_corpus(9, 60, REG):
-        v = equal_variant(rng, m, ty, REG)
-        mn, vn = _engine_bounds(env, ty, m, n), _engine_bounds(env, ty, v, n)
-        where = (print_term(m), print_term(v), print_term(n))
-        for engine in ("den", "int"):
-            (lo1, hi1), (lo2, hi2) = mn[engine], vn[engine]
-            assert max(lo1, lo2) <= min(hi1, hi2) + EPS, (engine, where)
-        assert mn["obs"] <= vn["equ"] + EPS and vn["obs"] <= mn["equ"] + EPS, where
+    for pair in typed_pair_corpus(9, 60, REG):
+        _check_equal_variant(rng, *pair)
+
+
+@GENERATED_LAWS
+@given(st.randoms(use_true_random=False))
+def test_an_equal_variant_gives_overlapping_enclosures_on_generated_pairs(rng):
+    for pair in typed_pair_corpus(rng.getrandbits(32), 4, REG):
+        _check_equal_variant(rng, *pair)
 
 
 def test_sandwich_obs_below_equ_on_corpus():

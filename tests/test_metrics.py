@@ -141,7 +141,7 @@ def test_obs_unit_codomain_blind():
 def test_probe_values_are_typed_values():
     for tname in ["R", "I", "R (x) R", "R -o R", "R (x) R -o R", "(R -o R) -o R", "R -o I"]:
         ty = parse_type(tname)
-        for v in probe_values(ty, CFG.registry):
+        for v in probe_values(ty, CFG.registry, 8):
             assert typecheck(EMPTY_ENV, v, CFG.registry) == ty
 
 
@@ -169,7 +169,7 @@ def test_probe_values_are_typed_values():
 )
 def test_probe_values_consume_unit_sources(tname, want):
     ty = parse_type(tname)
-    got = probe_values(ty, CFG.registry)
+    got = probe_values(ty, CFG.registry, 8)
     assert [print_term(v) for v in got] == want
     assert all(typecheck(EMPTY_ENV, v, CFG.registry) == ty for v in got)
 
@@ -198,7 +198,7 @@ def test_obs_probes_and_contexts_are_bit_identical():
     digest = hashlib.blake2b(digest_size=16)
     for reg in (default_registry(), corpus_registry()):
         for ty in (t for n in range(5) for t in _types(n)):
-            digest.update(repr([print_term(v) for v in probe_values(ty, reg)]).encode())
+            digest.update(repr([print_term(v) for v in probe_values(ty, reg, 8)]).encode())
             contexts = itertools.islice(_elaborations(HOLE, ty, reg, ObsBudget(), APPLY_DEPTH), 300)
             digest.update(repr([(print_term(c), print_type(t)) for c, t in contexts]).encode())
     assert digest.hexdigest() == OBS_PROBES_DIGEST

@@ -470,6 +470,16 @@ def test_int_distance_rejects_terms_not_of_the_stated_type():
         int_distance(EMPTY_ENV, I, Const(1.0), Const(2.0), BATTERY, registry=REG)
 
 
+def test_int_distance_samples_the_battery_it_is_given():
+    # without a battery it samples ProbeBattery(registry); a given one is
+    # sampled as it is, so other draws give another lower bound
+    env, reg = parse_env("x:R"), default_registry()
+    m, n = parse_term("sin(x)"), parse_term("cos(x)")
+    default = int_distance(env, R, m, n)
+    assert default == int_distance(env, R, m, n, ProbeBattery(reg), reg)
+    assert int_distance(env, R, m, n, ProbeBattery(reg, draws=0), reg).lo < default.lo
+
+
 def test_int_distance_unit_queries():
     env = parse_env("k:R -o I")
     d = int_distance(env, I, parse_term("k 2.0"), parse_term("k 3.0"), BATTERY)
@@ -700,10 +710,12 @@ def test_sampled_gap_matches_reference_search_on_generated_wires(draws):
 def test_sampled_gap_stops_where_the_reference_search_stops():
     # the literal bound where every difference is a literal, and fractions
     # of the full gap: a third is reached in the grid, 0.99 often only in
-    # the bisection; either may be reached part-way through a batch
+    # the bisection; either may be reached part-way through a batch.  The
+    # gaps the search stops at for those fractions are stops it meets exactly
     for h1, h2 in GENERATED_WIRES:
         full = _reference_sampled_gap(h1, h2, BATTERY, CORPUS_REG)
         stops = [full / 3, full * 0.99]
+        stops += [_reference_sampled_gap(h1, h2, BATTERY, CORPUS_REG, s) for s in stops]
         diffs = literal_diffs(h1, h2)
         if diffs is not None and all(not isinstance(a, str) for _, a, _ in diffs):
             stops.append(sum(abs(a - b) for _, a, b in diffs))
