@@ -12,22 +12,24 @@ term (the language is linear), so both terminate.
 
 ``eq_canonical`` rewrites a term into a canonical representative of its
 equational class using beta, the let laws, eta-contraction of all three
-connectives, evaluation of symbols on literal arguments, and the two
-let-commuting conversions (used to hoist and deterministically order
-let bindings).  Each pass is a root rule applied over the children
-(``_map_children``) and rebuilds a node only when a child changed, so a
-pass that fires nowhere returns its input and unchanged subtrees are
-shared.  No root rule fires at a leaf, so ``_map_children`` hands a
-``Var``, ``Const``, ``Star`` or ``Hole`` child back without calling the
-pass on it; ``_fixed``, ``_step_normal_order``, ``substitute`` and
-``literal_diffs`` likewise read leaf children in the parent's frame.
-Before each round a read-only walk tries every root rule at every node;
-if none fires, the round is not run.  ``beta_normalize`` and the round
-loop compute their size bounds only after 8 steps.  Given a list, both
-record each root rule that fires as a step at its position
-(``_record``), so that a checker can replay the rewriting without
-running it again (``metrics._eq_step``); a call given no list records
-nothing.
+connectives, evaluation of symbols on literal arguments, and one
+let-floating rule (``_float``, the commuting conversions): a let moves
+out of a child of an application, symbol, pair or let, never out of a λ
+body, and out of a let's body only past binders it does not read.  It
+hoists lets and orders independent ones.  Each pass is a root rule
+applied over the children (``_map_children``) and rebuilds a node only
+when a child changed, so a pass that fires nowhere returns its input
+and unchanged subtrees are shared.  No root rule fires at a leaf, so
+``_map_children`` hands a ``Var``, ``Const``, ``Star`` or ``Hole``
+child back without calling the pass on it; ``_fixed``,
+``_step_normal_order``, ``substitute`` and ``literal_diffs`` likewise
+read leaf children in the parent's frame.  Before each round a
+read-only walk tries every root rule at every node; if none fires, the
+round is not run.  ``beta_normalize`` and the round loop compute their
+size bounds only after 8 steps.  Given a list, both record each root
+rule that fires as a step at its position (``_record``), so that a
+checker can replay the rewriting without running it again
+(``metrics._eq_step``); a call given no list records nothing.
 ``eq_decide`` compares canonical forms up to alpha-renaming; it is sound
 but deliberately incomplete.
 """
@@ -299,9 +301,7 @@ def beta_normalize(term: Term, trace: Optional[list] = None) -> Term:
 
 
 def is_beta_normal(t: Term) -> bool:
-    if _contract(t) is not None:
-        return False
-    return all(is_beta_normal(c) for c in children(t))
+    return _step_normal_order(t) is None
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -463,19 +463,27 @@ def _make_let(binders, scrut: Term, body: Term) -> Term:
     return LetStar(scrut, body)
 
 
-def _rename_binders(binders, body: Term, clashes: set[str], avoid: set[str]):
-    """Rename the binders that appear in ``clashes``, avoiding ``avoid``."""
-    out = []
-    avoid = set(avoid) | set(binders)
+def _float(t: Term, i: int, root, trace: Optional[list]) -> Term:
+    """``t(.., let b = s in body, ..)``, its child ``i`` a let, as
+    ``let b' = s in t(.., body, ..)``, the node under the let fixed by
+    ``root``.  ``b'`` is ``b`` with each binder free in another child
+    renamed apart; the step records ``i`` and ``b'``.  Out of a let's
+    body, the caller checks that ``s`` reads none of the let's binders."""
+    kids = list(children(t))
+    binders, scrut, body = _let_parts(kids[i])
+    other = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
+    names = []
     for v in binders:
-        if v in clashes:
-            nv = fresh_name(v + "_", avoid)
+        if v in other:
+            nv = fresh_name(v + "_", other | free_vars(body) | set(binders) | set(names))
             body = substitute(body, v, Var(nv))
-            avoid.add(nv)
-            out.append(nv)
-        else:
-            out.append(v)
-    return tuple(out), body
+            v = nv
+        names.append(v)
+    kids[i] = body
+    n = _record(trace, "float", i, tuple(names))
+    inner = root(rebuild(t, kids), trace)
+    _under(trace, n, 1)
+    return _make_let(tuple(names), scrut, inner)
 
 
 def _hoist_lets(t: Term, trace: Optional[list] = None) -> Term:
@@ -492,42 +500,16 @@ def _hoist_lets(t: Term, trace: Optional[list] = None) -> Term:
 
 def _hoist_root(t: Term, trace: Optional[list] = None) -> Term:
     """``_hoist_lets`` of a term whose children are hoisted already: a
-    lifted let's scrutinee and the subterms it moves stay fixpoints of
-    the pass, so only the new node under the let is fixed.  A step records
-    the binders' names after renaming."""
+    floated let's scrutinee and the subterms it moves stay fixpoints of
+    the pass, so only the new node under the let is fixed.  A let leaves
+    any child of an operator and only the scrutinee of a let."""
     cls = type(t)
     if cls is Lam:
         return t  # a let is never hoisted past a binder it may mention
-    if cls is LetStar or cls is LetPair:
-        binders, scrut, body = _let_parts(t)
-        if _is_let(scrut):
-            # let b = (let ib = s in ibody) in body
-            #   -> let ib = s in (let b = ibody in body)
-            ib, iscrut, ibody = _let_parts(scrut)
-            clashes = set(ib) & (free_vars(body) | set(binders))
-            ib, ibody = _rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
-            n = _record(trace, "commute-let", ib)
-            inner = _hoist_root(_make_let(binders, ibody, body), trace)
-            _under(trace, n, 1)
-            return _make_let(ib, iscrut, inner)
-        return t
-    # float a let out of an immediate child of an operator node
-    kids = children(t)
+    kids = (t.scrutinee,) if cls is LetStar or cls is LetPair else children(t)
     for i, c in enumerate(kids):
         if type(c) is LetStar or type(c) is LetPair:
-            binders, scrut, body = _let_parts(c)
-            sibling_fv: set[str] = set()
-            for j, k in enumerate(kids):
-                if j != i:
-                    sibling_fv |= free_vars(k)
-            clashes = set(binders) & sibling_fv
-            binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
-            kids_new = list(kids)
-            kids_new[i] = body
-            n = _record(trace, "commute-op", i, binders)
-            inner = _hoist_root(rebuild(t, kids_new), trace)
-            _under(trace, n, 1)
-            return _make_let(binders, scrut, inner)
+            return _float(t, i, _hoist_root, trace)
     return t
 
 
@@ -551,19 +533,15 @@ def _sort_lets(t: Term, trace: Optional[list] = None) -> Term:
 
 
 def _sort_root(t: Term, trace: Optional[list] = None) -> Term:
-    """``_sort_lets`` of a term whose children are sorted already."""
-    changed = True
-    while changed:
-        changed = False
-        if _is_let(t) and _is_let(t.body):
-            b1, s1, inner = _let_parts(t)
-            b2, s2, body = _let_parts(inner)
-            independent = not (set(b1) & free_vars(s2)) and not (set(b2) & free_vars(s1))
-            if independent and _let_sort_key(inner) < _let_sort_key(t):
-                n = _record(trace, "swap")
-                t = _make_let(b2, s2, _sort_root(_make_let(b1, s1, body), trace))
-                _under(trace, n, 1)
-                changed = True
+    """``_sort_lets`` of a term whose children are sorted already: an
+    inner let that sorts first floats above an outer one it is
+    independent of."""
+    while _is_let(t) and _is_let(t.body):
+        b1, s1, inner = _let_parts(t)
+        b2, s2, _ = _let_parts(inner)
+        if set(b1) & free_vars(s2) or set(b2) & free_vars(s1) or not _let_sort_key(inner) < _let_sort_key(t):
+            break
+        t = _float(t, 1, _sort_root, trace)
     return t
 
 

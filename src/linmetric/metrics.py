@@ -109,7 +109,9 @@ class Judgment:
 class Eq0(QDerivation):
     """Zero distance from a derivable equality: each side's rewrite steps,
     as ``eq_canonical`` records them, lead the two sides to terms equal up
-    to bound names.  The checker replays the steps (``_eq_step``)."""
+    to bound names.  The checker replays the steps (``_eq_step``): beta,
+    the two let laws, three etas, ``fold`` and ``float``, the one rule
+    that moves a let."""
 
     env: Env
     ty: Ty
@@ -165,28 +167,29 @@ def _renamed(binders: tuple, names, body: Term, avoid: set) -> Optional[Term]:
 def _eq_step(rule, t: Term, extra: tuple, registry: SymbolRegistry) -> Optional[Term]:
     """``t`` rewritten at its root by one recorded step of ``eq_canonical``,
     or None where ``t`` does not have the rule's shape or fails its side
-    condition.  Each rule is checked here, from the term alone."""
+    condition.  Each rule is checked here, from the term alone.  A
+    ``float`` names its child ``i`` and the let's new binders: they must
+    capture no free name of another child, and a let leaves a let's body
+    only if its scrutinee reads none of that let's binders, which its new
+    binders must not shadow.  No let leaves a λ body."""
     cls = type(t)
-    if rule == "commute-op" and len(extra) == 2 and cls in (App, FnApp, Pair):
-        # op(.., let b = s in body, ..) -> let b = s in op(.., body, ..)
+    if rule == "float" and len(extra) == 2 and cls in (App, FnApp, Pair, LetStar, LetPair):
+        # t(.., let b = s in body, ..) -> let b' = s in t(.., body, ..)
         i, names = extra
         kids = children(t)
         if type(i) is not int or not 0 <= i < len(kids) or not _is_let(kids[i]):
             return None
         binders, scrut, body = _let_parts(kids[i])
-        siblings = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
-        body = _renamed(binders, names, body, siblings)
+        avoid = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
+        if i == 1 and _is_let(t):  # out of a let's body: past binders s must not read
+            outer = set(_let_parts(t)[0])
+            if outer & free_vars(scrut):
+                return None
+            avoid |= outer
+        body = _renamed(binders, names, body, avoid)
         if body is None:
             return None
         return _make_let(names, scrut, rebuild(t, kids[:i] + (body,) + kids[i + 1 :]))
-    if rule == "commute-let" and len(extra) == 1 and _is_let(t) and _is_let(t.scrutinee):
-        # let b = (let ib = s in ibody) in body -> let ib = s in (let b = ibody in body)
-        binders, scrut, body = _let_parts(t)
-        ib, iscrut, ibody = _let_parts(scrut)
-        ibody = _renamed(ib, extra[0], ibody, free_vars(body) | set(binders))
-        if ibody is None:
-            return None
-        return _make_let(extra[0], iscrut, _make_let(binders, ibody, body))
     if extra:
         return None
     if rule == "beta" and cls is App and type(t.fn) is Lam:
@@ -207,12 +210,6 @@ def _eq_step(rule, t: Term, extra: tuple, registry: SymbolRegistry) -> Optional[
             return t.scrutinee
     if rule == "fold" and cls is FnApp and all(type(a) is Const for a in t.args):
         return Const(registry.get(t.symbol)(*[a.value for a in t.args]))
-    if rule == "swap" and _is_let(t) and _is_let(t.body):
-        # let b1 = s1 in let b2 = s2 in body -> let b2 = s2 in let b1 = s1 in body
-        b1, s1, inner = _let_parts(t)
-        b2, s2, body = _let_parts(inner)
-        if not (set(b1) & (free_vars(s2) | set(b2))) and not (set(b2) & free_vars(s1)):
-            return _make_let(b2, s2, _make_let(b1, s1, body))
     return None
 
 

@@ -38,6 +38,7 @@ from linmetric.core import (
     parse_term,
     print_term,
     rebuild,
+    subterm_at,
     typecheck,
 )
 from linmetric.dynamics import (
@@ -48,12 +49,13 @@ from linmetric.dynamics import (
     _let_parts,
     _let_sort_key,
     _make_let,
-    _rename_binders,
     _sort_lets,
     alpha_eq,
     beta_normalize,
     eq_canonical,
     fold_literals,
+    fresh_name,
+    substitute,
 )
 from linmetric.metrics import Eq0, _replay, check_qderivation, equ_upper_bound, qderivation_judgment
 
@@ -91,6 +93,20 @@ def test_canonical_forms_match_golden():
 CORPUS = [t for seed in SEEDS for _, t in canonical_corpus(seed)]
 
 
+def rename_binders(binders, body, clashes, avoid):
+    """Rename the binders that appear in ``clashes``, avoiding ``avoid``."""
+    out = []
+    avoid = set(avoid) | set(binders)
+    for v in binders:
+        if v in clashes:
+            nv = fresh_name(v + "_", avoid)
+            body = substitute(body, v, Var(nv))
+            avoid.add(nv)
+            v = nv
+        out.append(v)
+    return tuple(out), body
+
+
 def hoist_by_rewalk(t):
     """The hoisting pass as first written: after each let it lifts, it
     walks the whole new term again."""
@@ -104,7 +120,7 @@ def hoist_by_rewalk(t):
         if _is_let(scrut):
             ib, iscrut, ibody = _let_parts(scrut)
             clashes = set(ib) & (free_vars(body) | set(binders))
-            ib, ibody = _rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
+            ib, ibody = rename_binders(ib, ibody, clashes, free_vars(body) | set(binders) | free_vars(ibody))
             return hoist_by_rewalk(_make_let(ib, iscrut, _make_let(binders, ibody, body)))
         return t
     kids = children(t)
@@ -113,7 +129,7 @@ def hoist_by_rewalk(t):
             binders, scrut, body = _let_parts(c)
             sibling_fv = set().union(*(free_vars(k) for j, k in enumerate(kids) if j != i))
             clashes = set(binders) & sibling_fv
-            binders, body = _rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
+            binders, body = rename_binders(binders, body, clashes, sibling_fv | free_vars(body))
             return hoist_by_rewalk(_make_let(binders, scrut, rebuild(t, kids[:i] + (body,) + kids[i + 1 :])))
     return t
 
@@ -263,17 +279,20 @@ def generated_term(rng: random.Random):
 
 
 def test_let_chains_are_typed_and_reach_every_rule():
-    seen = set()
+    seen, let_children = set(), set()  # rules fired; children of a let a let floats out of
     for seed in range(100):
         t = let_chain(random.Random(seed))
         assert typecheck(LET_ENV, t, REG) == R, print_term(t)
         steps: list = []
         eq_canonical(t, REG, steps)
+        for step in steps:
+            if step[0] == "float" and _is_let(subterm_at(t, step[1])):
+                let_children.add(step[2])
+            t = _replay(t, (step,), REG, "lhs", "root")
         seen |= {s[0] for s in steps}
     # every rule but eta-let*, which the generated terms of gen reach
-    assert seen == {
-        "beta", "let*", "let(x)", "eta-lam", "eta-let(x)", "fold", "commute-let", "commute-op", "swap"
-    }
+    assert seen == {"beta", "let*", "let(x)", "eta-lam", "eta-let(x)", "fold", "float"}
+    assert let_children == {0, 1}  # out of a scrutinee, and out of a body past an independent let
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,6 +316,18 @@ def test_sorting_lets_keeps_a_scrutinee_after_the_let_that_binds_it():
     bound, cert = equ_upper_bound(env, R, m, n, REG)
     assert bound == 1.0
     assert check_qderivation(cert, REG) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="_sort_root reaches no one normal form for these chains")
+def test_chains_one_swap_of_independent_lets_apart_are_equal():
+    # dependent_let_chain at seed 135: the second and third lets are
+    # independent, and swapping them gives a term equ cannot prove equal
+    env = parse_env("p:((I (x) R) (x) R), q:(R (x) I)")
+    lets = ["let m0 (x) m1 = q in ", "let * = m1 in ", "let a2 (x) m3 = p in "]
+    body = "let a4 (x) b5 = a2 in let * = a4 in add(min(max(m0, m3), b5), 0.5)"
+    m = parse_term("".join(lets) + body, REG)
+    n = parse_term("".join([lets[0], lets[2], lets[1]]) + body, REG)
+    assert equ_upper_bound(env, R, m, n, REG)[0] == 0.0
 
 
 def dependent_let_chain(rng: random.Random):

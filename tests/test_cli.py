@@ -588,3 +588,30 @@ def test_hostile_term_files_exit_0_or_1(tmp_path):
                 json.loads(out.getvalue())
             reached += code == 0 and argv[0] == "typecheck"
     assert reached > 0  # some mutants typecheck, so the engines run on them too
+
+
+CORPUS_SYMBOLS = {
+    "symbols": [{"name": k, "builtin": k} for k in ("add", "sin", "cos", "min", "max")],
+    "gaps": [{"a": "sin", "b": "cos", "bound": math.sqrt(2.0)}, {"a": "min", "b": "max", "bound": math.inf}],
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_dist_json_on_generated_pairs_exits_0_with_a_consistent_report(tmp_path_factory, rng):
+    d = tmp_path_factory.mktemp("dist")
+    (d / "corpus.json").write_text(json.dumps(CORPUS_SYMBOLS))
+    for env, _, m, n in typed_pair_corpus(rng.getrandbits(32), 3, corpus_registry()):
+        (d / "m.lin").write_text(print_term(m))
+        (d / "n.lin").write_text(print_term(n))
+        argv = ["dist", str(d / "m.lin"), str(d / "n.lin"), "--json", "--symbols", str(d / "corpus.json")]
+        argv += ["--env", ", ".join(f"{x}:{print_type(t)}" for x, t in env)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0, (print_term(m), print_term(n), err.getvalue())
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert set(report["metrics"]) == {"obs", "den", "int", "equ"}
+        assert report["chain_ok"] is True

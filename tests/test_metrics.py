@@ -43,6 +43,7 @@ from linmetric.metrics import (
     SymRule,
     Trans,
     _elaborations,
+    _eq_step,
     admissibility_suite,
     check_qderivation,
     den_engine,
@@ -129,6 +130,17 @@ def test_obs_applies_two_arguments():
     assert lo == 0.0
     lo, _ = obs_lower_bound(EMPTY_ENV, R, parse_term(m + " 0.0 0.0 0.0"), parse_term(n + " 0.0 0.0 0.0"))
     assert lo == 1.0
+
+
+def test_obs_tries_300_contexts_by_default():
+    # the pair differs only where x1 + x2 < -1.5: first at context 301,
+    # which closes x1 and x2 with -1.0 (the probe reals of R are 0, 1, -1, 0.5, 10)
+    reg = corpus_registry()
+    env = parse_env("x1:R, x2:R, x3:R, x4:R")
+    m = parse_term("add(add(x1, x2), add(x3, x4))", reg)
+    n = parse_term("add(max(add(x1, x2), -1.5), add(x3, x4))", reg)
+    assert obs_lower_bound(env, R, m, n, registry=reg)[0] == 0.0
+    assert obs_lower_bound(env, R, m, n, ObsBudget(max_contexts=301), reg)[0] == 0.5
 
 
 def test_obs_unit_codomain_blind():
@@ -347,27 +359,33 @@ def test_eq0_with_a_side_that_overflows_on_folding_is_rejected_at_its_path(wrap,
 # Each Eq0 below names one rule at a subterm where its shape or side
 # condition fails.  Where it is well-typed, the right-hand side is what
 # the rule would give there without its check; otherwise it is the left.
-UNSOUND_STEPS = [
-    ("k:R -o R", "R", "k 1.0", "k 1.0", ("beta", ())),  # no λ at the head
-    ("u:I", "R", "let * = u in 1.0", "let * = u in 1.0", ("let*", ())),  # scrutinee not *
-    ("p:R (x) R", "R", "let a (x) b = p in add(a, b)", "let a (x) b = p in add(a, b)", ("let(x)", ())),
-    ("k:R -o R", "R -o R", r"\x:R. k sin(x)", "k", ("eta-lam", ())),  # argument is not the binder
-    ("u:I, v:I", "I", "let * = u in v", "let * = u in v", ("eta-let*", ())),  # body is not *
-    ("p:R (x) R", "R (x) R", "let a (x) b = p in b * a", "p", ("eta-let(x)", ())),  # halves swapped
-    ("x:R", "R", "sin(x)", "x", ("fold", ())),  # an argument is no literal
+UNSOUND_STEPS = {
+    "beta": ("k:R -o R", "R", "k 1.0", "k 1.0", ("beta", ())),  # no λ at the head
+    "let*": ("u:I", "R", "let * = u in 1.0", "let * = u in 1.0", ("let*", ())),  # scrutinee not *
+    "let(x)": ("p:R (x) R", "R", "let a (x) b = p in add(a, b)", "let a (x) b = p in add(a, b)", ("let(x)", ())),
+    "eta-lam": ("k:R -o R", "R -o R", r"\x:R. k sin(x)", "k", ("eta-lam", ())),  # argument is not the binder
+    "eta-let*": ("u:I, v:I", "I", "let * = u in v", "let * = u in v", ("eta-let*", ())),  # body is not *
+    "eta-let(x)": ("p:R (x) R", "R (x) R", "let a (x) b = p in b * a", "p", ("eta-let(x)", ())),  # halves swapped
+    "fold": ("x:R", "R", "sin(x)", "x", ("fold", ())),  # an argument is no literal
     # the floated binder a would capture the sibling's free a
-    ("p:R (x) R, a:R", "R", "add(let a (x) b = p in add(a, b), a)",
-     "add(let a (x) b = p in add(a, b), a)", ("commute-op", (), 0, ("a", "b"))),
-    # the hoisted inner binder a would capture the outer body's free a
-    ("p:R (x) R, a:R", "R", "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)",
-     "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)", ("commute-let", (), ("a", "b"))),
+    "float-operand": ("p:R (x) R, a:R", "R", "add(let a (x) b = p in add(a, b), a)",
+                      "add(let a (x) b = p in add(a, b), a)", ("float", (), 0, ("a", "b"))),
+    # the binder a floated out of the scrutinee would capture the outer body's free a
+    "float-scrutinee": ("p:R (x) R, a:R", "R", "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)",
+                        "let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)", ("float", (), 0, ("a", "b"))),
     # the inner scrutinee reads the outer binder a
-    ("p:(R (x) R) (x) R", "R", "let a (x) b = p in let c (x) d = a in add(add(c, d), b)",
-     "let a (x) b = p in let c (x) d = a in add(add(c, d), b)", ("swap", ())),
-]
+    "float-dependent": ("p:(R (x) R) (x) R", "R", "let a (x) b = p in let c (x) d = a in add(add(c, d), b)",
+                        "let a (x) b = p in let c (x) d = a in add(add(c, d), b)", ("float", (), 1, ("c", "d"))),
+    # the inner binders renamed to the outer ones would be shadowed by them
+    "float-shadowed": ("p:R (x) R, q:R (x) R", "R", "let a (x) b = p in let c (x) d = q in add(add(a, b), add(c, d))",
+                       "let a (x) b = p in let c (x) d = q in add(add(a, b), add(c, d))", ("float", (), 1, ("a", "b"))),
+    # a let never leaves a λ body
+    "float-lam": ("p:R (x) R", "R -o R", r"\x:R. let a (x) b = p in add(add(a, b), x)",
+                  r"let a (x) b = p in \x:R. add(add(a, b), x)", ("float", (), 0, ("a", "b"))),
+}
 
 
-@pytest.mark.parametrize("env, ty, lhs, rhs, step", UNSOUND_STEPS, ids=[c[4][0] for c in UNSOUND_STEPS])
+@pytest.mark.parametrize("env, ty, lhs, rhs, step", UNSOUND_STEPS.values(), ids=UNSOUND_STEPS.keys())
 def test_an_unsound_step_of_each_rule_is_rejected_at_its_path(env, ty, lhs, rhs, step):
     d = Eq0(parse_env(env), parse_type(ty), parse_term(lhs), parse_term(rhs), (step,))
     with pytest.raises(CertificateError) as exc:
@@ -375,23 +393,35 @@ def test_an_unsound_step_of_each_rule_is_rejected_at_its_path(env, ty, lhs, rhs,
     assert str(exc.value) == f"root.right: Eq0 lhs step 0 does not apply: {step!r}"
 
 
+def test_a_float_out_of_a_body_keeps_no_name_the_outer_let_binds():
+    # not linear, so no checked certificate reaches this term: the outer
+    # binders would shadow the floated let's in the body
+    t = parse_term("let a (x) b = p in let a (x) b = q in add(a, b)")
+    assert _eq_step("float", t, (1, ("a", "b")), default_registry()) is None
+    assert _eq_step("float", t, (1, ("c", "d")), default_registry()) is not None
+
+
 @pytest.mark.parametrize(
     "lhs, rhs, step",
     [
         ("add(let a (x) b = p in add(a, b), a)", "let a_ (x) b = p in add(add(a_, b), a)",
-         ("commute-op", (), 0, ("a_", "b"))),
+         ("float", (), 0, ("a_", "b"))),
         ("let c (x) d = (let a (x) b = p in b * a) in add(add(c, d), a)",
-         "let a_ (x) b = p in let c (x) d = b * a_ in add(add(c, d), a)", ("commute-let", (), ("a_", "b"))),
+         "let a_ (x) b = p in let c (x) d = b * a_ in add(add(c, d), a)", ("float", (), 0, ("a_", "b"))),
+        # out of a let's body, past an independent let
+        ("let c (x) d = a * 1.0 in let a (x) b = p in add(add(c, d), add(a, b))",
+         "let a_ (x) b = p in let c (x) d = a * 1.0 in add(add(c, d), add(a_, b))", ("float", (), 1, ("a_", "b"))),
     ],
 )
 def test_a_commuting_conversion_holds_once_its_binders_are_renamed_apart(lhs, rhs, step):
     env = parse_env("p:R (x) R, a:R")
     assert check_qderivation(Eq0(env, R, parse_term(lhs), parse_term(rhs), (step,))) == 0.0
-    # a new name must be fresh: b is already bound beside it
-    bad = step[:-1] + (("b", "b"),)
-    with pytest.raises(CertificateError) as exc:
-        check_qderivation(Eq0(env, R, parse_term(lhs), parse_term(rhs), (bad,)))
-    assert str(exc.value) == f"root: Eq0 lhs step 0 does not apply: {bad!r}"
+    # the new names must be fresh (b is already bound beside it), distinct, one per binder
+    for names in (("b", "b"), ("e", "e"), ("a_",)):
+        bad = step[:-1] + (names,)
+        with pytest.raises(CertificateError) as exc:
+            check_qderivation(Eq0(env, R, parse_term(lhs), parse_term(rhs), (bad,)))
+        assert str(exc.value) == f"root: Eq0 lhs step 0 does not apply: {bad!r}"
 
 
 @pytest.mark.parametrize(
@@ -428,7 +458,7 @@ def test_eq0_certificates_check_without_the_canonicalizer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the checker called the canonicalizer")
 
-    for name in ("eq_canonical", "eq_decide", "_contract", "_hoist_root", "_sort_root", "_eta_root", "_foldable"):
+    for name in ("eq_canonical", "eq_decide", "_contract", "_hoist_root", "_sort_root", "_float", "_eta_root", "_foldable"):
         monkeypatch.setattr(dynamics, name, refuse)
         monkeypatch.setattr(metrics, name, refuse, raising=False)
     assert len(certs) == 2134
